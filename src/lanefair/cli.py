@@ -179,8 +179,11 @@ def cmd_power(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    rep = mc_calibration(n=args.n, reps=args.reps, seed=args.seed,
-                         d=args.d, sigma=args.sigma, kappa=args.kappa)
+    try:
+        rep = mc_calibration(n=args.n, reps=args.reps, seed=args.seed,
+                             d=args.d, sigma=args.sigma, kappa=args.kappa)
+    except ValueError as exc:
+        raise _CliFailure(EXIT_COMPUTE, str(exc)) from None
     if args.format == "json":
         text = json.dumps(mc_report_dict(rep), indent=2) + "\n"
     elif args.format == "csv":

@@ -110,10 +110,6 @@ def speculate(entries: Sequence[OlympicEntry], d: float) -> SpeculativeList:
     return SpeculativeList(tuple(out), d_cs)
 
 
-def flip_lanes(entries: Sequence[OlympicEntry]) -> list[OlympicEntry]:
-    return [OlympicEntry(e.name, e.lane.opposite, e.time_cs, e.status) for e in entries]
-
-
 def round_trip(entries: Sequence[OlympicEntry], d: float) -> list[OlympicEntry]:
     """Apply the swap, flip the lanes, apply it again; restores the input.
 

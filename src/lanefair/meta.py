@@ -10,14 +10,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .dataset import PairObs
-from .diagnostics import clean_and_refit
 from .model import FitError, fit_ml
+
+_NORMAL = NormalDist()
+
+
+def _upper_tail(z: float) -> float:
+    """Standard-normal P(Z > z), accurate far into the tail (1 - cdf is not)."""
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
 class MetaError(ValueError):
@@ -66,8 +72,8 @@ def combine(summaries: Sequence[EventSummary]) -> MetaResult:
     omega0 = heterogeneity(summaries, grand) if len(summaries) >= 2 else 0.0
     return MetaResult(
         grand_d=grand, grand_se=se, z=z,
-        p_one_sided=float(norm.sf(z)),
-        p_two_sided=float(2.0 * norm.sf(abs(z))),
+        p_one_sided=_upper_tail(z),
+        p_two_sided=2.0 * _upper_tail(abs(z)),
         ci95=(grand - 1.96 * se, grand + 1.96 * se),
         omega0=omega0, K=len(summaries))
 
@@ -99,7 +105,7 @@ def predict_range(grand_d: float, omega0: float, coverage: float = 0.90,
     """Central range for the event-specific true difference."""
     if omega0 < 0.0:
         raise MetaError("omega0 must be nonnegative")
-    half = float(norm.ppf(0.5 + coverage / 2.0)) * omega0
+    half = _NORMAL.inv_cdf(0.5 + coverage / 2.0) * omega0
     return (grand_d - half, grand_d + half)
 
 
@@ -133,7 +139,7 @@ def power_plan(sigma: float, target_se: float, true_d: float,
     if min(sigma, target_se) <= 0.0 or not 0.0 < alpha < 0.5:
         raise MetaError("need sigma, target_se > 0 and alpha in (0, 0.5)")
     n_req = math.ceil(2.0 * sigma ** 2 / target_se ** 2)
-    power = float(norm.cdf(true_d / target_se - norm.ppf(1.0 - alpha)))
+    power = _NORMAL.cdf(true_d / target_se - _NORMAL.inv_cdf(1.0 - alpha))
     return PowerSpec(sigma, target_se, true_d, alpha, n_req, power)
 
 
@@ -227,17 +233,3 @@ def read_summaries(text: str) -> list[EventSummary]:
         raise MetaError("no summaries found")
     return out
 
-
-def clean_events(datasets, lane_policy: str = "warn_day1", threshold: float = 2.75):
-    """Run the screen-and-refit pipeline over several parsed events.
-
-    Returns (label, cleaned-pairs, CleanedFit, warnings) per event.
-    """
-    from .dataset import usable_pairs
-
-    out = []
-    for ds in datasets:
-        pairs, warns = usable_pairs(ds, lane_policy)
-        cleaned = clean_and_refit(pairs, threshold, warnings=warns)
-        out.append((ds.label, cleaned.pairs_clean, cleaned, warns))
-    return out

@@ -8,13 +8,19 @@ between the two days; sigma is the per-run noise level.
 
 Estimation profiles the likelihood over rho: for fixed rho the coefficient
 vector beta = (a1, a2, b, d) has a closed-form generalized-least-squares
-solution, leaving a one-dimensional bracketed search.
+solution, leaving a one-dimensional search.  The profile is evaluated on a
+whole rho grid with one stacked solve; in the bracket around the best grid
+point the maximizer is the root of the stationarity equation
+rho (Q1 + Q2) = 2 Q3, where Q1, Q2 and Q3 are the residual sums of squares
+and cross products at the GLS solution.  A maximum at the rho = 0 boundary
+is taken when the profile falls from there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +28,7 @@ import numpy as np
 from .dataset import PairObs
 
 RHO_MAX = 1.0 - 1e-6
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_RHO_XTOL = 1e-12
 
 
 class FitError(RuntimeError):
@@ -88,6 +94,18 @@ class MomentMatrices:
     def p(self) -> int:
         return self.M11.shape[0]
 
+    @cached_property
+    def augmented(self) -> np.ndarray:
+        """A_1, A_2, A_3 stacked as (3, p+1, p+1), with b = (beta, -1) and
+        Q_k = n b' A_k b: A_1 = [[M11, S11], [S11', T11]], A_2 likewise for
+        day 2, and A_3 = [[M12, S12], [S21', T12]]."""
+        def block(M, S_row, S_col, T):
+            return np.block([[M, S_col[:, None]], [S_row[None, :], np.array([[T]])]])
+
+        return np.stack([block(self.M11, self.S11, self.S11, self.T11),
+                         block(self.M22, self.S22, self.S22, self.T22),
+                         block(self.M12, self.S21, self.S12, self.T12)])
+
 
 def build_moments(pairs: Sequence[PairObs], with_lane: bool = True) -> MomentMatrices:
     """Average cross-product matrices over the usable pairs."""
@@ -102,15 +120,20 @@ def build_moments(pairs: Sequence[PairObs], with_lane: bool = True) -> MomentMat
         n=n)
 
 
-def _m_rho(m: MomentMatrices, rho: float) -> np.ndarray:
+def _m_rho(m: MomentMatrices, rho):
+    """GLS matrix at rho; a (G, 1, 1) array of rhos gives the (G, p, p) stack."""
     return m.M11 + m.M22 - rho * (m.M12 + m.M21)
+
+
+def _s_rho(m: MomentMatrices, rho):
+    """GLS right-hand side at rho; a (G, 1) array of rhos gives (G, p)."""
+    return m.S11 + m.S22 - rho * (m.S12 + m.S21)
 
 
 def gls_beta(m: MomentMatrices, rho: float) -> np.ndarray:
     """Closed-form minimizer of Q(beta) at fixed rho."""
-    rhs = m.S11 + m.S22 - rho * (m.S12 + m.S21)
     try:
-        return np.linalg.solve(_m_rho(m, rho), rhs)
+        return np.linalg.solve(_m_rho(m, rho), _s_rho(m, rho))
     except np.linalg.LinAlgError as exc:
         raise DegenerateDesignError(f"singular design at rho={rho:g}: {exc}") from None
 
@@ -129,11 +152,19 @@ def q_components(m: MomentMatrices | Sequence[PairObs], beta: np.ndarray,
         r1 = y1 - X1 @ beta
         r2 = y2 - X2 @ beta
         return float(r1 @ r1), float(r2 @ r2), float(r1 @ r2)
-    n = m.n
-    q1 = n * (m.T11 - 2.0 * beta @ m.S11 + beta @ m.M11 @ beta)
-    q2 = n * (m.T22 - 2.0 * beta @ m.S22 + beta @ m.M22 @ beta)
-    q3 = n * (m.T12 - beta @ m.S12 - beta @ m.S21 + beta @ m.M12 @ beta)
-    return max(q1, 0.0), max(q2, 0.0), q3
+    q1, q2, q3 = _q_moments(m, beta)
+    return float(q1), float(q2), float(q3)
+
+
+def _q_moments(m: MomentMatrices, beta: np.ndarray):
+    """Q1, Q2, Q3 from the moments, for one beta (p,) or a stack (G, p).
+
+    The grid and the single-rho path share this one formula, so a grid row
+    reproduces the single-rho value rather than one summed in another order.
+    """
+    b = np.concatenate([beta, np.full(beta.shape[:-1] + (1,), -1.0)], axis=-1)
+    q = m.n * np.einsum("...i,kij,...j->...k", b, m.augmented, b)
+    return np.maximum(q[..., 0], 0.0), np.maximum(q[..., 1], 0.0), q[..., 2]
 
 
 def profile_loglik(m: MomentMatrices | Sequence[PairObs], rho: float) -> float:
@@ -220,48 +251,76 @@ def _six_significant(x: float) -> float:
     return float(f"{x:.6g}")
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def profile_grid(m: MomentMatrices, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Profile log-likelihood and stationarity residual at every rho of ``rhos``.
 
-
-def _polish_rho(m: MomentMatrices, rho: float) -> float:
-    """Sharpen the maximizer via its stationarity identity.
-
-    Near the maximum the profile is flat at the scale of float noise, so
-    bracketing comparisons stall around 1e-6; the interior stationary
-    point instead satisfies rho = 2 Q3 / (Q1 + Q2), whose residual is
-    linear in rho and contracts rapidly under iteration.  A boundary
-    maximum at 0 is a natural fixed point of the clamped map.
+    The GLS systems of all rhos are stacked into one (G, p, p) array and
+    solved together.  Returns ``(loglik, g)`` with g = rho (Q1 + Q2) - 2 Q3:
+    the profile's slope is a positive multiple of -g, so g vanishes at an
+    interior stationary point.  As in ``profile_loglik``, a nonpositive
+    GLS objective gives an infinite log-likelihood.
     """
-    for _ in range(100):
-        beta = gls_beta(m, rho)
-        q1, q2, q3 = q_components(m, beta)
-        if q1 + q2 <= 0.0:
-            return rho
-        nxt = min(max(2.0 * q3 / (q1 + q2), 0.0), RHO_MAX)
-        if abs(nxt - rho) < 1e-13:
-            return nxt
-        rho = nxt
-    return rho
+    rhos = np.asarray(rhos, dtype=float)
+    if not (rhos.min() >= 0.0 and rhos.max() <= RHO_MAX):
+        raise ValueError(f"rho grid outside [0, {RHO_MAX}]")
+    r = rhos[:, None]
+    try:
+        beta = np.linalg.solve(_m_rho(m, r[:, :, None]), _s_rho(m, r)[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateDesignError(f"singular design on the rho grid: {exc}") from None
+    q1, q2, q3 = _q_moments(m, beta)
+    q = q1 + q2 - 2.0 * rhos * q3
+    n = m.n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        loglik = n * (0.5 * np.log1p(-rhos * rhos) - np.log(q / (2.0 * n)) - 1.0)
+    return np.where(q > 0.0, loglik, math.inf), rhos * (q1 + q2) - 2.0 * q3
+
+
+def _stationarity(m: MomentMatrices, rho: float) -> float:
+    """g(rho) = rho (Q1 + Q2) - 2 Q3 at the GLS solution for rho."""
+    q1, q2, q3 = q_components(m, gls_beta(m, rho))
+    return rho * (q1 + q2) - 2.0 * q3
+
+
+def _stationary_rho(m: MomentMatrices, lo: float, hi: float,
+                    g_lo: float, g_hi: float) -> float:
+    """Maximizer of the profile in [lo, hi] from the root of g.
+
+    g < 0 where the profile rises, so g(lo) >= 0 puts the maximum at lo
+    (the rho = 0 boundary among others) and g(hi) <= 0 puts it at hi.
+    Otherwise the sign change is closed in by Illinois steps: secant steps
+    that halve the stale end's g when the same end is kept twice, so both
+    ends converge.  Q carries ~1e-12 of cancellation noise, which g cannot
+    resolve rho beyond, so the loop ends once the bracket is that narrow or
+    stops shrinking.
+    """
+    if g_lo >= 0.0:
+        return lo
+    if g_hi <= 0.0:
+        return hi
+    kept = 0
+    while hi - lo > _RHO_XTOL:
+        rho = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+        if not lo < rho < hi:
+            break
+        g = _stationarity(m, rho)
+        if g < 0.0:
+            lo, g_lo = rho, g
+            if kept < 0:
+                g_hi *= 0.5
+            kept = -1
+        else:
+            hi, g_hi = rho, g
+            if kept > 0:
+                g_lo *= 0.5
+            kept = 1
+    return lo if -g_lo <= g_hi else hi
 
 
 def fit_ml(pairs: Sequence[PairObs], constraint: str = "free_d",
-           grid_step: float = 0.005, rho_tol: float = 1e-7,
-           warnings: Sequence[str] = ()) -> FitResult:
-    """Maximum-likelihood fit via a coarse grid plus golden-section search.
+           grid_step: float = 0.005, warnings: Sequence[str] = ()) -> FitResult:
+    """Maximum-likelihood fit: a stacked grid of the rho profile, then the
+    root of its stationarity equation in the best grid point's bracket.
 
     ``constraint='d_equals_zero'`` drops the lane column (p = 3) and
     reports d as exactly zero with a zeroed row/column in ``cov_beta``.
@@ -282,18 +341,22 @@ def fit_ml(pairs: Sequence[PairObs], constraint: str = "free_d",
 
     m = build_moments(pairs, with_lane)
     grid = np.arange(0.0, RHO_MAX, grid_step)
-    values = [profile_loglik(m, r) for r in grid]
+    values, g = profile_grid(m, grid)
     k = int(np.argmax(values))
     if not math.isfinite(values[k]):
         raise FitError("profile likelihood is unbounded (degenerate responses)")
-    lo = grid[k - 1] if k > 0 else 0.0
-    hi = grid[k + 1] if k + 1 < len(grid) else RHO_MAX
-    rho = _golden_max(lambda r: profile_loglik(m, r), lo, hi, rho_tol)
-    polished = _polish_rho(m, rho)
-    if profile_loglik(m, polished) >= profile_loglik(m, rho) - 1e-9:
-        rho = polished
-    if profile_loglik(m, 0.0) >= profile_loglik(m, rho):
-        rho = 0.0
+    # The maximum lies within a grid step of grid[k]; g's sign there says on
+    # which side, so [grid[j], grid[j + 1]] is the half of the bracket to search.
+    j = k if g[k] < 0.0 else max(k - 1, 0)
+    if j + 1 < len(grid):
+        hi, g_hi = float(grid[j + 1]), float(g[j + 1])
+    else:
+        hi, g_hi = RHO_MAX, _stationarity(m, RHO_MAX)
+    rho = _stationary_rho(m, float(grid[j]), hi, float(g[j]), g_hi)
+    loglik = profile_loglik(m, rho)
+    loglik0 = profile_loglik(m, 0.0)
+    if loglik0 >= loglik:
+        rho, loglik = 0.0, loglik0
 
     beta = gls_beta(m, rho)
     q1, q2, q3 = q_components(m, beta)
@@ -316,7 +379,7 @@ def fit_ml(pairs: Sequence[PairObs], constraint: str = "free_d",
         beta=beta, rho=rho,
         sigma_ml=math.sqrt(sigma2_ml), sigma_un=math.sqrt(sigma2_un),
         kappa_ml=math.sqrt(sigma2_ml * shrink), kappa_un=math.sqrt(sigma2_un * shrink),
-        cov_beta=cov, loglik=profile_loglik(m, rho), n=n, p=p,
+        cov_beta=cov, loglik=loglik, n=n, p=p,
         condition_number=float(np.linalg.cond(mrho)),
         fixed_point_residual=fixed_point,
         warnings=list(warnings))

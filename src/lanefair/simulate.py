@@ -52,6 +52,8 @@ def mc_calibration(n: int = 30, reps: int = 2000, seed: int = 7,
                    kappa: float = 0.30) -> McReport:
     """Fit ``reps`` simulated events and compare the spread of the
     lane-difference estimate with its large-sample variance 2 sigma^2/n."""
+    if reps < 2:
+        raise ValueError(f"need at least 2 replicates for a variance, got {reps}")
     rng = np.random.default_rng(seed)
     ds = np.empty(reps)
     s2 = np.empty(reps)

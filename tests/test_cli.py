@@ -202,3 +202,10 @@ def test_mc_smoke_and_determinism(capsys):
     assert out == again
     payload = json.loads(out)
     assert payload["reps"] == 40 and payload["seed"] == 3
+
+
+def test_mc_needs_two_replicates(capsys):
+    for reps in ("0", "1"):
+        code, out, err = run(capsys, "mc", "--n", "20", "--reps", reps, "--format", "json")
+        assert code == 5 and out == ""
+        assert err.count("\n") == 1 and "replicates" in err

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from lanefair.dataset import PairObs
-from lanefair.model import (DegenerateDesignError, InsufficientDataError,
-                            build_moments, design_rows, fit_ml, fit_simple,
-                            gls_beta, profile_loglik, q_components,
-                            variance_report)
+from lanefair.model import (RHO_MAX, DegenerateDesignError,
+                            InsufficientDataError, build_moments, design_rows,
+                            fit_ml, fit_simple, gls_beta, profile_grid,
+                            profile_loglik, q_components, variance_report)
 from lanefair.simulate import simulate_event
 
 # Reference per-event estimates (a1, a2, b, d, rho, sigma, kappa) and se(d)
@@ -166,6 +166,51 @@ def test_grid_oracle_agrees_with_search(reference_sets):
         grid = np.arange(0.0, 1.0 - 1e-6, 1e-4)
         values = [profile_loglik(m, r) for r in grid]
         assert abs(grid[int(np.argmax(values))] - fit.rho) <= 1e-4, year
+
+
+def test_profile_grid_matches_scalar_profile(reference_sets):
+    grid = np.arange(0.0, RHO_MAX, 0.005)
+    for year, pairs in reference_sets.items():
+        for with_lane in (True, False):
+            m = build_moments(pairs, with_lane)
+            values, g = profile_grid(m, grid)
+            for r, value, g_r in zip(grid, values, g):
+                assert abs(value - profile_loglik(m, r)) <= 1e-9, (year, with_lane, r)
+                q1, q2, q3 = q_components(m, gls_beta(m, r))
+                assert abs(g_r - (r * (q1 + q2) - 2 * q3)) <= 1e-9, (year, with_lane, r)
+
+
+def test_search_finds_stationary_point_or_boundary():
+    # Half the replicates have no shared ability effect, so many of their
+    # maxima sit on the rho = 0 boundary.
+    rng = np.random.default_rng(2026)
+    grid = np.arange(0.0, RHO_MAX, 0.005)
+    boundary = interior = 0
+    for i in range(200):
+        pairs = simulate_event(rng, 30, kappa=0.0 if i % 2 else 0.30)
+        for constraint, with_lane in (("free_d", True), ("d_equals_zero", False)):
+            fit = fit_ml(pairs, constraint)
+            m = build_moments(pairs, with_lane)
+            if fit.rho == 0.0:
+                boundary += 1
+                assert profile_loglik(m, 0.0) >= profile_loglik(m, 1e-3), i
+            else:
+                interior += 1
+                q1, q2, q3 = q_components(m, fit.beta[:m.p])
+                assert abs(fit.rho - 2 * q3 / (q1 + q2)) <= 1e-9, i
+            values, _ = profile_grid(m, grid)
+            assert profile_loglik(m, fit.rho) >= values.max() - 1e-9, i
+    assert boundary and interior
+
+
+def test_design_singular_at_every_rho_is_degenerate():
+    # x = 0 throughout: the slope column is zero, so M_rho is singular for all rho.
+    pairs = [_pair(str(i), 0.0, 37.0 + 0.1 * i, 0.0, 37.2 - 0.05 * i, (-1) ** i * 0.5)
+             for i in range(8)]
+    with pytest.raises(DegenerateDesignError):
+        fit_ml(pairs)
+    with pytest.raises(DegenerateDesignError):
+        profile_grid(build_moments(pairs), np.arange(0.0, RHO_MAX, 0.005))
 
 
 def test_fit_requires_five_pairs():
