@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dataset import Lane, ParseError, RunStatus, _parse_time
-
-_OLY_STATUS = {s.value: s for s in RunStatus}
+from .dataset import (_LANE_TOKENS, _STATUS_TOKENS, Lane, ParseError, RunStatus,
+                      _parse_time)
 
 
 @dataclass(frozen=True)
@@ -68,9 +67,10 @@ def parse_olympic(text: str) -> tuple[str, list[OlympicEntry]]:
         if len(fields) != 4:
             raise ParseError("expected 'name,lane,time,status'", lineno)
         name, lane_tok, time_tok, status_tok = fields
-        if lane_tok not in ("i", "o"):
+        lane = _LANE_TOKENS.get(lane_tok)
+        if lane is None:
             raise ParseError(f"lane token {lane_tok!r} outside {{i, o}}", lineno)
-        status = _OLY_STATUS.get(status_tok)
+        status = _STATUS_TOKENS.get(status_tok)
         if status is None:
             raise ParseError(f"unknown status {status_tok!r}", lineno)
         time_cs = _parse_time(time_tok, lineno)
@@ -78,7 +78,7 @@ def parse_olympic(text: str) -> tuple[str, list[OlympicEntry]]:
             raise ParseError("finisher without a time", lineno)
         if status is not RunStatus.OK and time_cs is not None:
             raise ParseError("non-finisher with a time", lineno)
-        entries.append(OlympicEntry(name, Lane(lane_tok), time_cs, status))
+        entries.append(OlympicEntry(name, lane, time_cs, status))
     return label, entries
 
 

@@ -79,7 +79,6 @@ class SkaterPair:
     day1: Run
     day2: Run
     note: str = ""
-    declared_outlier: bool = False
 
     @property
     def usable(self) -> bool:

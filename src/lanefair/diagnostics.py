@@ -99,9 +99,6 @@ def clean_and_refit(pairs: Sequence[PairObs], threshold: float = DEFAULT_THRESHO
     first = fit_ml(pairs, warnings=warnings)
     report = outlier_scan(pairs, first, threshold)
     removed = set(report.flagged_names)
-    for p in pairs:
-        if p.skater is not None:
-            p.skater.declared_outlier = p.name in removed
     kept = tuple(p for p in pairs if p.name not in removed)
     final = fit_ml(kept, warnings=warnings) if removed else first
     return CleanedFit(first, report, tuple(report.flagged_names), kept, final)

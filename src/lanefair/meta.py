@@ -78,7 +78,7 @@ def combine(summaries: Sequence[EventSummary]) -> MetaResult:
         omega0=omega0, K=len(summaries))
 
 
-def heterogeneity(summaries: Sequence[EventSummary], grand_d: float | MetaResult) -> float:
+def heterogeneity(summaries: Sequence[EventSummary], grand_d: float) -> float:
     """Moment estimate of the between-event standard deviation.
 
     The weighted dispersion sum_j (d_j - d)^2 / se_j^2 has null mean K-1;
@@ -87,8 +87,6 @@ def heterogeneity(summaries: Sequence[EventSummary], grand_d: float | MetaResult
     """
     if len(summaries) < 2:
         raise MetaError("heterogeneity needs at least 2 events")
-    if isinstance(grand_d, MetaResult):
-        grand_d = grand_d.grand_d
     d = np.array([s.d for s in summaries])
     se = np.array([s.se for s in summaries])
     t = float((((d - grand_d) / se) ** 2).sum())

@@ -6,21 +6,21 @@ and w = +-1/2 encodes the lane draw.  A shared random ability effect with
 standard deviation kappa induces correlation rho = kappa^2/(sigma^2+kappa^2)
 between the two days; sigma is the per-run noise level.
 
-Estimation profiles the likelihood over rho: for fixed rho the coefficient
-vector beta = (a1, a2, b, d) has a closed-form generalized-least-squares
-solution, leaving a one-dimensional search.  The profile is evaluated on a
-whole rho grid with one stacked solve; in the bracket around the best grid
-point the maximizer is the root of the stationarity equation
-rho (Q1 + Q2) = 2 Q3, where Q1, Q2 and Q3 are the residual sums of squares
-and cross products at the GLS solution.  A maximum at the rho = 0 boundary
-is taken when the profile falls from there.
+A pair's average (Y1 + Y2)/2, with variance kappa^2 + sigma^2/2, and its
+difference Y1 - Y2, with variance 2 sigma^2, are independent, so the
+likelihood factorizes into two regressions that share only the slope b
+(Yates' recovery of inter-block information).  With U(b) and V(b) their
+residual sums of squares, each minimized over its own intercepts and d,
+the likelihood is largest where U*V is smallest, at
+rho = (4U - V)/(4U + V).  U and V are quadratics in b, so an interior
+maximum lies at a real root of the cubic (U*V)'.  For fixed rho, beta =
+(a1, a2, b, d) has a closed-form generalized-least-squares solution.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +28,13 @@ import numpy as np
 from .dataset import PairObs
 
 RHO_MAX = 1.0 - 1e-6
-_RHO_XTOL = 1e-12
+
+# Coordinates of the slope b and of the nuisance coefficients each rotated
+# regression identifies: a2's column repeats a1's in the average rows and
+# negates it in the difference rows, and d's column is zero in the average.
+_SLOPE = 2
+_AVE_NUISANCE = [0]
+_DIFF_NUISANCE = {4: [0, 3], 3: [0]}
 
 
 class FitError(RuntimeError):
@@ -70,119 +76,89 @@ def design_rows(pairs: Sequence[PairObs], with_lane: bool = True):
 
 @dataclass(frozen=True)
 class MomentMatrices:
-    """Per-pair averages of all cross products needed by the profile search.
+    """Augmented Gram matrices of the rotated rows, averaged over the pairs.
 
-    M[u][v] = ave(x_u x_v'), S[u][v] = ave(x_u Y_v); the scalar response
-    moments T make the quadratic forms Q1, Q2, Q3 computable in O(1) for
-    any beta without revisiting the data.
+    A comes from the average rows [(X1 + X2)/2 | (y1 + y2)/2] and D from
+    the difference rows [X1 - X2 | y1 - y2], both in (a1, a2, b, d | y)
+    coordinates.  With b = (beta, -1) the GLS objective at rho is
+    Q1 + Q2 - 2 rho Q3 = n b' [2 (1 - rho) A + (1 + rho)/2 D] b.
     """
 
-    M11: np.ndarray
-    M12: np.ndarray
-    M21: np.ndarray
-    M22: np.ndarray
-    S11: np.ndarray
-    S12: np.ndarray
-    S21: np.ndarray
-    S22: np.ndarray
-    T11: float
-    T22: float
-    T12: float
+    A: np.ndarray
+    D: np.ndarray
     n: int
 
     @property
     def p(self) -> int:
-        return self.M11.shape[0]
-
-    @cached_property
-    def augmented(self) -> np.ndarray:
-        """A_1, A_2, A_3 stacked as (3, p+1, p+1), with b = (beta, -1) and
-        Q_k = n b' A_k b: A_1 = [[M11, S11], [S11', T11]], A_2 likewise for
-        day 2, and A_3 = [[M12, S12], [S21', T12]]."""
-        def block(M, S_row, S_col, T):
-            return np.block([[M, S_col[:, None]], [S_row[None, :], np.array([[T]])]])
-
-        return np.stack([block(self.M11, self.S11, self.S11, self.T11),
-                         block(self.M22, self.S22, self.S22, self.T22),
-                         block(self.M12, self.S21, self.S12, self.T12)])
+        return self.A.shape[0] - 1
 
 
 def build_moments(pairs: Sequence[PairObs], with_lane: bool = True) -> MomentMatrices:
-    """Average cross-product matrices over the usable pairs."""
+    """Average and difference Gram matrices over the usable pairs."""
     if not pairs:
         raise InsufficientDataError("no usable pairs")
     X1, X2, y1, y2 = design_rows(pairs, with_lane)
+    ave = np.column_stack([(X1 + X2) / 2.0, (y1 + y2) / 2.0])
+    diff = np.column_stack([X1 - X2, y1 - y2])
     n = len(pairs)
-    return MomentMatrices(
-        M11=X1.T @ X1 / n, M12=X1.T @ X2 / n, M21=X2.T @ X1 / n, M22=X2.T @ X2 / n,
-        S11=X1.T @ y1 / n, S12=X1.T @ y2 / n, S21=X2.T @ y1 / n, S22=X2.T @ y2 / n,
-        T11=float(y1 @ y1) / n, T22=float(y2 @ y2) / n, T12=float(y1 @ y2) / n,
-        n=n)
+    return MomentMatrices(A=ave.T @ ave / n, D=diff.T @ diff / n, n=n)
 
 
-def _m_rho(m: MomentMatrices, rho):
-    """GLS matrix at rho; a (G, 1, 1) array of rhos gives the (G, p, p) stack."""
-    return m.M11 + m.M22 - rho * (m.M12 + m.M21)
-
-
-def _s_rho(m: MomentMatrices, rho):
-    """GLS right-hand side at rho; a (G, 1) array of rhos gives (G, p)."""
-    return m.S11 + m.S22 - rho * (m.S12 + m.S21)
+def _weighted(m: MomentMatrices, rho: float) -> np.ndarray:
+    """The augmented GLS matrix 2 (1 - rho) A + (1 + rho)/2 D."""
+    return 2.0 * (1.0 - rho) * m.A + 0.5 * (1.0 + rho) * m.D
 
 
 def gls_beta(m: MomentMatrices, rho: float) -> np.ndarray:
     """Closed-form minimizer of Q(beta) at fixed rho."""
+    g = _weighted(m, rho)
+    p = m.p
     try:
-        return np.linalg.solve(_m_rho(m, rho), _s_rho(m, rho))
+        return np.linalg.solve(g[:p, :p], g[:p, p])
     except np.linalg.LinAlgError as exc:
         raise DegenerateDesignError(f"singular design at rho={rho:g}: {exc}") from None
 
 
-def q_components(m: MomentMatrices | Sequence[PairObs], beta: np.ndarray,
-                 ) -> tuple[float, float, float]:
-    """Residual sums Q1 = sum r1^2, Q2 = sum r2^2, Q3 = sum r1*r2.
+def _residual_sums(m: MomentMatrices, beta: np.ndarray) -> tuple[float, float]:
+    """Residual sums of squares of the average and the difference rows."""
+    b = np.append(beta, -1.0)
+    return max(m.n * float(b @ m.A @ b), 0.0), max(m.n * float(b @ m.D @ b), 0.0)
 
-    Accepts either raw pairs (residuals formed directly, exact for a
-    perfect fit) or precomputed moments (O(1), used inside the profile
-    search where Q is bounded away from zero).
-    """
+
+def q_components(pairs: Sequence[PairObs], beta: np.ndarray) -> tuple[float, float, float]:
+    """Residual sums Q1 = sum r1^2, Q2 = sum r2^2, Q3 = sum r1*r2, formed
+    directly from the pairs (exact for a perfect fit)."""
     beta = np.asarray(beta, dtype=float)
-    if not isinstance(m, MomentMatrices):
-        X1, X2, y1, y2 = design_rows(m, with_lane=len(beta) == 4)
-        r1 = y1 - X1 @ beta
-        r2 = y2 - X2 @ beta
-        return float(r1 @ r1), float(r2 @ r2), float(r1 @ r2)
-    q1, q2, q3 = _q_moments(m, beta)
-    return float(q1), float(q2), float(q3)
+    X1, X2, y1, y2 = design_rows(pairs, with_lane=len(beta) == 4)
+    r1 = y1 - X1 @ beta
+    r2 = y2 - X2 @ beta
+    return float(r1 @ r1), float(r2 @ r2), float(r1 @ r2)
 
 
-def _q_moments(m: MomentMatrices, beta: np.ndarray):
-    """Q1, Q2, Q3 from the moments, for one beta (p,) or a stack (G, p).
-
-    The grid and the single-rho path share this one formula, so a grid row
-    reproduces the single-rho value rather than one summed in another order.
-    """
-    b = np.concatenate([beta, np.full(beta.shape[:-1] + (1,), -1.0)], axis=-1)
-    q = m.n * np.einsum("...i,kij,...j->...k", b, m.augmented, b)
-    return np.maximum(q[..., 0], 0.0), np.maximum(q[..., 1], 0.0), q[..., 2]
-
-
-def profile_loglik(m: MomentMatrices | Sequence[PairObs], rho: float) -> float:
+def profile_loglik(m: MomentMatrices, rho: float) -> float:
     """Log-likelihood profiled over beta and sigma at fixed rho.
 
     Additive constants not involving the parameters are dropped.
     """
-    if not isinstance(m, MomentMatrices):
-        m = build_moments(m)
     if not 0.0 <= rho <= RHO_MAX:
         raise ValueError(f"rho={rho:g} outside [0, {RHO_MAX}]")
-    beta = gls_beta(m, rho)
-    q1, q2, q3 = q_components(m, beta)
-    q = q1 + q2 - 2.0 * rho * q3
+    ave, diff = _residual_sums(m, gls_beta(m, rho))
+    q = 2.0 * (1.0 - rho) * ave + 0.5 * (1.0 + rho) * diff
     n = m.n
     if q <= 0.0:
         return math.inf
     return n * (0.5 * math.log1p(-rho * rho) - math.log(q / (2.0 * n)) - 1.0)
+
+
+def _slope_profile(g: np.ndarray, nuisance: list[int]) -> np.ndarray:
+    """Coefficients, highest power first, of min b'gb over the nuisance
+    coordinates as a quadratic in the slope: the Schur complement of the
+    nuisance block in the slope and response rows of g."""
+    kept = [_SLOPE, g.shape[0] - 1]
+    cross = g[np.ix_(nuisance, kept)]
+    inner = np.linalg.solve(g[np.ix_(nuisance, nuisance)], cross)
+    s = g[np.ix_(kept, kept)] - cross.T @ inner
+    return np.array([s[0, 0], -2.0 * s[0, 1], s[1, 1]])
 
 
 @dataclass
@@ -251,81 +227,16 @@ def _six_significant(x: float) -> float:
     return float(f"{x:.6g}")
 
 
-def profile_grid(m: MomentMatrices, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Profile log-likelihood and stationarity residual at every rho of ``rhos``.
-
-    The GLS systems of all rhos are stacked into one (G, p, p) array and
-    solved together.  Returns ``(loglik, g)`` with g = rho (Q1 + Q2) - 2 Q3:
-    the profile's slope is a positive multiple of -g, so g vanishes at an
-    interior stationary point.  As in ``profile_loglik``, a nonpositive
-    GLS objective gives an infinite log-likelihood.
-    """
-    rhos = np.asarray(rhos, dtype=float)
-    if not (rhos.min() >= 0.0 and rhos.max() <= RHO_MAX):
-        raise ValueError(f"rho grid outside [0, {RHO_MAX}]")
-    r = rhos[:, None]
-    try:
-        beta = np.linalg.solve(_m_rho(m, r[:, :, None]), _s_rho(m, r)[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateDesignError(f"singular design on the rho grid: {exc}") from None
-    q1, q2, q3 = _q_moments(m, beta)
-    q = q1 + q2 - 2.0 * rhos * q3
-    n = m.n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        loglik = n * (0.5 * np.log1p(-rhos * rhos) - np.log(q / (2.0 * n)) - 1.0)
-    return np.where(q > 0.0, loglik, math.inf), rhos * (q1 + q2) - 2.0 * q3
-
-
-def _stationarity(m: MomentMatrices, rho: float) -> float:
-    """g(rho) = rho (Q1 + Q2) - 2 Q3 at the GLS solution for rho."""
-    q1, q2, q3 = q_components(m, gls_beta(m, rho))
-    return rho * (q1 + q2) - 2.0 * q3
-
-
-def _stationary_rho(m: MomentMatrices, lo: float, hi: float,
-                    g_lo: float, g_hi: float) -> float:
-    """Maximizer of the profile in [lo, hi] from the root of g.
-
-    g < 0 where the profile rises, so g(lo) >= 0 puts the maximum at lo
-    (the rho = 0 boundary among others) and g(hi) <= 0 puts it at hi.
-    Otherwise the sign change is closed in by Illinois steps: secant steps
-    that halve the stale end's g when the same end is kept twice, so both
-    ends converge.  Q carries ~1e-12 of cancellation noise, which g cannot
-    resolve rho beyond, so the loop ends once the bracket is that narrow or
-    stops shrinking.
-    """
-    if g_lo >= 0.0:
-        return lo
-    if g_hi <= 0.0:
-        return hi
-    kept = 0
-    while hi - lo > _RHO_XTOL:
-        rho = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
-        if not lo < rho < hi:
-            break
-        g = _stationarity(m, rho)
-        if g < 0.0:
-            lo, g_lo = rho, g
-            if kept < 0:
-                g_hi *= 0.5
-            kept = -1
-        else:
-            hi, g_hi = rho, g
-            if kept > 0:
-                g_lo *= 0.5
-            kept = 1
-    return lo if -g_lo <= g_hi else hi
-
-
 def fit_ml(pairs: Sequence[PairObs], constraint: str = "free_d",
-           grid_step: float = 0.005, warnings: Sequence[str] = ()) -> FitResult:
-    """Maximum-likelihood fit: a stacked grid of the rho profile, then the
-    root of its stationarity equation in the best grid point's bracket.
+           warnings: Sequence[str] = ()) -> FitResult:
+    """Maximum-likelihood fit with rho in [0, RHO_MAX].
 
+    The profile likelihood is compared at rho = 0, at RHO_MAX and at the
+    rho of each real root of (U*V)' between them; rho = 0 wins a tie.
     ``constraint='d_equals_zero'`` drops the lane column (p = 3) and
     reports d as exactly zero with a zeroed row/column in ``cov_beta``.
-    rho is restricted to [0, 1) since kappa^2 = sigma^2 rho/(1-rho) must
-    be nonnegative; a maximum at the lower boundary reports kappa = 0.
+    rho cannot be negative since kappa^2 = sigma^2 rho/(1-rho) must be
+    nonnegative; a maximum at rho = 0 reports kappa = 0.
     """
     if constraint not in ("free_d", "d_equals_zero"):
         raise ValueError(f"unknown constraint {constraint!r}")
@@ -340,46 +251,44 @@ def fit_ml(pairs: Sequence[PairObs], constraint: str = "free_d",
                 "all skaters started in the same lane; d is not identifiable")
 
     m = build_moments(pairs, with_lane)
-    grid = np.arange(0.0, RHO_MAX, grid_step)
-    values, g = profile_grid(m, grid)
+    try:
+        u = _slope_profile(m.A, _AVE_NUISANCE)
+        v = _slope_profile(m.D, _DIFF_NUISANCE[m.p])
+        roots = np.roots(np.polyder(np.polymul(u, v)))
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateDesignError(f"singular design: {exc}") from None
+    candidates = [0.0, RHO_MAX]
+    for slope in roots[roots.imag == 0.0].real:
+        ave, diff = float(np.polyval(u, slope)), float(np.polyval(v, slope))
+        if 4.0 * ave + diff > 0.0:
+            rho = (4.0 * ave - diff) / (4.0 * ave + diff)
+            if 0.0 < rho < RHO_MAX:
+                candidates.append(rho)
+    values = [profile_loglik(m, r) for r in candidates]
     k = int(np.argmax(values))
     if not math.isfinite(values[k]):
         raise FitError("profile likelihood is unbounded (degenerate responses)")
-    # The maximum lies within a grid step of grid[k]; g's sign there says on
-    # which side, so [grid[j], grid[j + 1]] is the half of the bracket to search.
-    j = k if g[k] < 0.0 else max(k - 1, 0)
-    if j + 1 < len(grid):
-        hi, g_hi = float(grid[j + 1]), float(g[j + 1])
-    else:
-        hi, g_hi = RHO_MAX, _stationarity(m, RHO_MAX)
-    rho = _stationary_rho(m, float(grid[j]), hi, float(g[j]), g_hi)
-    loglik = profile_loglik(m, rho)
-    loglik0 = profile_loglik(m, 0.0)
-    if loglik0 >= loglik:
-        rho, loglik = 0.0, loglik0
+    rho, loglik = candidates[k], values[k]
 
     beta = gls_beta(m, rho)
-    q1, q2, q3 = q_components(m, beta)
-    q = q1 + q2 - 2.0 * rho * q3
+    ave, diff = _residual_sums(m, beta)
+    q = 2.0 * (1.0 - rho) * ave + 0.5 * (1.0 + rho) * diff
     p = m.p
     sigma2_ml = q / (2.0 * n * (1.0 + rho))
     sigma2_un = q / ((2.0 * n - p) * (1.0 + rho))
     shrink = rho / (1.0 - rho)
-    mrho = _m_rho(m, rho)
+    mrho = _weighted(m, rho)[:p, :p]
     cov = sigma2_un * (1.0 + rho) * np.linalg.inv(mrho) / n
-    fixed_point = abs(rho - 2.0 * q3 / (q1 + q2)) if q1 + q2 > 0 else 0.0
-
-    if not with_lane:
-        beta = np.append(beta, 0.0)
-        full = np.zeros((4, 4))
-        full[:3, :3] = cov
-        cov = full
+    # rho = 2 Q3/(Q1 + Q2) at an interior maximum; in rotated form that is
+    # (4U - V)/(4U + V) at the final beta.
+    fixed_point = (abs(rho - (4.0 * ave - diff) / (4.0 * ave + diff))
+                   if ave + diff > 0.0 else 0.0)
 
     return FitResult(
-        beta=beta, rho=rho,
+        beta=np.append(beta, np.zeros(4 - p)), rho=rho,
         sigma_ml=math.sqrt(sigma2_ml), sigma_un=math.sqrt(sigma2_un),
         kappa_ml=math.sqrt(sigma2_ml * shrink), kappa_un=math.sqrt(sigma2_un * shrink),
-        cov_beta=cov, loglik=loglik, n=n, p=p,
+        cov_beta=np.pad(cov, (0, 4 - p)), loglik=loglik, n=n, p=p,
         condition_number=float(np.linalg.cond(mrho)),
         fixed_point_residual=fixed_point,
         warnings=list(warnings))

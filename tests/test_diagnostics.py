@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
-from lanefair.dataset import PairObs
-from lanefair.diagnostics import (adjusted_differences,
+from conftest import DATA
+from lanefair.dataset import PairObs, load_event, usable_pairs
+from lanefair.diagnostics import (adjusted_differences, clean_and_refit,
                                   gaussian_kde_curve, outlier_scan,
                                   validate_model)
 from lanefair.model import FitResult, fit_ml
@@ -80,10 +83,15 @@ def test_threshold_is_configurable(usable):
     assert len(strict.flagged_names) > len(outlier_scan(pairs, fit).flagged_names)
 
 
-def test_declared_outlier_marks_set_on_skaters(pipeline, events):
-    assert pipeline[1994] is not None
-    flagged = {s.name for s in events[1994].skaters if s.declared_outlier}
-    assert flagged == set(PIPELINE_ROSTERS[1994])
+def test_later_screen_leaves_earlier_result_unchanged():
+    # Both calls see the same SkaterPair objects through their PairObs; the
+    # second, stricter screen must not alter what the first one returned.
+    pairs, _ = usable_pairs(load_event(DATA / "swc1988.csv"))
+    first = clean_and_refit(pairs)
+    before = copy.deepcopy(first.pairs_clean)
+    second = clean_and_refit(pairs, threshold=2.5)
+    assert first.removed == () and second.removed == ("Y.Mitani",)
+    assert first.pairs_clean == before
 
 
 def test_null_flag_rates_near_two_sided_tail():

@@ -101,8 +101,7 @@ def test_heterogeneity_reference_values():
 
 def test_heterogeneity_zero_when_estimates_identical():
     rows = [EventSummary(str(i), 0.05, 0.03 + 0.01 * i) for i in range(5)]
-    grand = combine(rows)
-    assert heterogeneity(rows, grand) == 0.0
+    assert heterogeneity(rows, combine(rows).grand_d) == 0.0
 
 
 def test_heterogeneity_needs_two_events():

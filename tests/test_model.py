@@ -8,8 +8,8 @@ import pytest
 from lanefair.dataset import PairObs
 from lanefair.model import (RHO_MAX, DegenerateDesignError,
                             InsufficientDataError, build_moments, design_rows,
-                            fit_ml, fit_simple, gls_beta, profile_grid,
-                            profile_loglik, q_components, variance_report)
+                            fit_ml, fit_simple, gls_beta, profile_loglik,
+                            q_components, variance_report)
 from lanefair.simulate import simulate_event
 
 # Reference per-event estimates (a1, a2, b, d, rho, sigma, kappa) and se(d)
@@ -44,16 +44,19 @@ def test_reference_fits_reproduced(reference_sets):
 
 
 def test_moments_balanced_two_pairs():
+    # The difference rows carry 2w in the d column, so D[3, 3] = ave(4 w^2)
+    # and D[0, 3] = ave(2w); the lane term cancels from the average rows.
     pairs = [_pair("a", 10.0, 37.0, 10.0, 37.0, 0.5),
              _pair("b", 10.0, 37.0, 10.0, 37.0, -0.5)]
     m = build_moments(pairs)
-    assert m.M11[3, 3] == pytest.approx(0.25)
-    assert m.M11[0, 3] == pytest.approx(0.0)
+    assert m.D[3, 3] == pytest.approx(1.0)
+    assert m.D[0, 3] == pytest.approx(0.0)
+    assert np.all(m.A[3, :] == 0.0) and np.all(m.A[:, 3] == 0.0)
 
 
 def test_moments_single_pair():
     m = build_moments([_pair("a", 10.0, 37.0, 10.0, 37.0, 0.5)])
-    assert m.M11[0, 3] == pytest.approx(0.5)
+    assert m.D[0, 3] == pytest.approx(1.0)
 
 
 def test_moments_calgary_lane_split(pipeline):
@@ -62,14 +65,21 @@ def test_moments_calgary_lane_split(pipeline):
     assert sum(1 for p in kept if p.w == 0.5) == 13
     assert sum(1 for p in kept if p.w == -0.5) == 15
     m = build_moments(kept)
-    assert m.M11[0, 3] == pytest.approx(-1.0 / 28)
+    assert m.D[0, 3] == pytest.approx(2 * -1.0 / 28)
 
 
 def test_moment_symmetry(reference_sets):
-    m = build_moments(reference_sets[1990])
-    assert np.allclose(m.M11, m.M11.T)
-    assert np.allclose(m.M22, m.M22.T)
-    assert np.allclose(m.M12, m.M21.T)
+    # r1^2 + r2^2 = 2 ave^2 + diff^2/2 and 2 r1 r2 = 2 ave^2 - diff^2/2, so
+    # the rotated Grams recombine into the day-wise cross products.
+    pairs = reference_sets[1990]
+    m = build_moments(pairs)
+    assert np.allclose(m.A, m.A.T)
+    assert np.allclose(m.D, m.D.T)
+    X1, X2, y1, y2 = design_rows(pairs)
+    Z1, Z2 = np.column_stack([X1, y1]), np.column_stack([X2, y2])
+    n = len(pairs)
+    assert np.allclose(m.A + m.D / 4, (Z1.T @ Z1 + Z2.T @ Z2) / (2 * n))
+    assert np.allclose(m.A - m.D / 4, (Z1.T @ Z2 + Z2.T @ Z1) / (2 * n))
 
 
 def test_gls_at_rho_zero_is_stacked_ols(reference_sets):
@@ -116,8 +126,7 @@ def test_fixed_point_identity_on_reference_sets(reference_sets):
     for year, pairs in reference_sets.items():
         fit = fit_ml(pairs)
         assert fit.fixed_point_residual <= 1e-6, year
-        m = build_moments(pairs)
-        q1, q2, q3 = q_components(m, fit.beta)
+        q1, q2, q3 = q_components(pairs, fit.beta)
         assert fit.rho == pytest.approx(2 * q3 / (q1 + q2), abs=1e-6)
 
 
@@ -129,20 +138,31 @@ def test_calgary_rho_from_q_ratio(reference_sets):
 def test_sigma_estimating_equations_agree(reference_sets):
     for year, pairs in reference_sets.items():
         fit = fit_ml(pairs)
-        q1, q2, q3 = q_components(build_moments(pairs), fit.beta)
+        q1, q2, q3 = q_components(pairs, fit.beta)
         n = fit.n
         s2_a = (q1 + q2 - 2 * fit.rho * q3) / (2 * n * (1 + fit.rho))
         s2_b = (1 - fit.rho) / (1 + fit.rho) * (q1 + q2 + 2 * q3) / (2 * n)
         assert abs(s2_a - s2_b) <= 1e-5 * s2_a, year
 
 
+def _repeated_days():
+    return [_pair(str(i), 10.0 + 0.1 * i, 36.0 + 0.25 * i + 0.07 * (i % 3),
+                  10.0 + 0.1 * i, 36.0 + 0.25 * i + 0.07 * (i % 3),
+                  0.5 if i % 2 else -0.5) for i in range(10)]
+
+
 def test_profile_increases_with_perfectly_repeated_days():
-    pairs = [_pair(str(i), 10.0 + 0.1 * i, 36.0 + 0.25 * i + 0.07 * (i % 3),
-                   10.0 + 0.1 * i, 36.0 + 0.25 * i + 0.07 * (i % 3),
-                   0.5 if i % 2 else -0.5) for i in range(10)]
-    m = build_moments(pairs)
+    m = build_moments(_repeated_days())
     values = [profile_loglik(m, r) for r in (0.1, 0.5, 0.9, 0.999)]
     assert values == sorted(values)
+
+
+def test_perfectly_repeated_days_fit_at_rho_max():
+    # The difference rows fit exactly, so V = 0 for every slope: the cubic
+    # has no roots and the maximum is the rho = RHO_MAX boundary.
+    fit = fit_ml(_repeated_days())
+    assert fit.rho == RHO_MAX
+    assert math.isfinite(fit.loglik)
 
 
 def test_profile_maximizer_near_zero_without_shared_effect():
@@ -168,16 +188,19 @@ def test_grid_oracle_agrees_with_search(reference_sets):
         assert abs(grid[int(np.argmax(values))] - fit.rho) <= 1e-4, year
 
 
-def test_profile_grid_matches_scalar_profile(reference_sets):
+def test_profile_loglik_matches_direct_residuals(reference_sets):
+    # The rotated Grams give the same objective Q1 + Q2 - 2 rho Q3 as the
+    # day-wise residuals formed directly from the pairs.
     grid = np.arange(0.0, RHO_MAX, 0.005)
     for year, pairs in reference_sets.items():
+        n = len(pairs)
         for with_lane in (True, False):
             m = build_moments(pairs, with_lane)
-            values, g = profile_grid(m, grid)
-            for r, value, g_r in zip(grid, values, g):
-                assert abs(value - profile_loglik(m, r)) <= 1e-9, (year, with_lane, r)
-                q1, q2, q3 = q_components(m, gls_beta(m, r))
-                assert abs(g_r - (r * (q1 + q2) - 2 * q3)) <= 1e-9, (year, with_lane, r)
+            for r in grid:
+                q1, q2, q3 = q_components(pairs, gls_beta(m, r))
+                q = q1 + q2 - 2 * r * q3
+                direct = n * (0.5 * math.log1p(-r * r) - math.log(q / (2 * n)) - 1)
+                assert abs(profile_loglik(m, r) - direct) <= 1e-9, (year, with_lane, r)
 
 
 def test_search_finds_stationary_point_or_boundary():
@@ -196,11 +219,21 @@ def test_search_finds_stationary_point_or_boundary():
                 assert profile_loglik(m, 0.0) >= profile_loglik(m, 1e-3), i
             else:
                 interior += 1
-                q1, q2, q3 = q_components(m, fit.beta[:m.p])
+                q1, q2, q3 = q_components(pairs, fit.beta[:m.p])
                 assert abs(fit.rho - 2 * q3 / (q1 + q2)) <= 1e-9, i
-            values, _ = profile_grid(m, grid)
-            assert profile_loglik(m, fit.rho) >= values.max() - 1e-9, i
+            best = max(profile_loglik(m, r) for r in grid)
+            assert profile_loglik(m, fit.rho) >= best - 1e-9, i
     assert boundary and interior
+
+
+def test_complex_roots_are_not_candidates():
+    # This replicate's cubic (U*V)' has a complex root pair; the rho of its
+    # real part profiles within rounding of the maximum but is not stationary.
+    pairs = simulate_event(np.random.default_rng(1), 30, kappa=0.0)
+    fit = fit_ml(pairs)
+    q1, q2, q3 = q_components(pairs, fit.beta)
+    assert fit.rho > 0.0
+    assert abs(fit.rho - 2 * q3 / (q1 + q2)) <= 1e-9
 
 
 def test_design_singular_at_every_rho_is_degenerate():
@@ -209,8 +242,10 @@ def test_design_singular_at_every_rho_is_degenerate():
              for i in range(8)]
     with pytest.raises(DegenerateDesignError):
         fit_ml(pairs)
-    with pytest.raises(DegenerateDesignError):
-        profile_grid(build_moments(pairs), np.arange(0.0, RHO_MAX, 0.005))
+    m = build_moments(pairs)
+    for r in (0.0, 0.5, RHO_MAX):
+        with pytest.raises(DegenerateDesignError):
+            gls_beta(m, r)
 
 
 def test_fit_requires_five_pairs():
@@ -269,8 +304,8 @@ def test_sample_size_correction_links_sigma_versions(pipeline):
 def test_cov_beta_matches_closed_form(reference_sets):
     pairs = reference_sets[1994]
     fit = fit_ml(pairs)
-    m = build_moments(pairs)
-    mrho = m.M11 + m.M22 - fit.rho * (m.M12 + m.M21)
+    X1, X2, _, _ = design_rows(pairs)
+    mrho = (X1.T @ X1 + X2.T @ X2 - fit.rho * (X1.T @ X2 + X2.T @ X1)) / fit.n
     expected = fit.sigma_un ** 2 * (1 + fit.rho) * np.linalg.inv(mrho) / fit.n
     assert np.allclose(fit.cov_beta, expected, rtol=1e-12)
     assert np.allclose(fit.cov_beta, fit.cov_beta.T)
