@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -30,7 +31,7 @@ class _CliFailure(Exception):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise _CliFailure(EXIT_IO, f"cannot read {path}: {exc.strerror}") from None
 
@@ -134,10 +135,14 @@ def cmd_speculate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    try:
+        bandwidth = "silverman" if args.bandwidth == "silverman" else float(args.bandwidth)
+    except ValueError:
+        raise _CliFailure(EXIT_COMPUTE, f"--bandwidth {args.bandwidth!r} is neither "
+                                        "'silverman' nor a number") from None
     events = _load_events([args.file])
     cleaned = _clean_all(events, args.lane_policy, args.threshold)
     ds, _, c = cleaned[0]
-    bandwidth = "silverman" if args.bandwidth == "silverman" else float(args.bandwidth)
     try:
         rep = validate_model(c.pairs_clean, c.fit, bandwidth)
     except ValueError as exc:
@@ -275,6 +280,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise _CliFailure(EXIT_COMPUTE, f"--{name} must be a finite number, got {value}")
         return args.func(args)
     except _CliFailure as exc:
         print(f"lanefair: {exc}", file=sys.stderr)

@@ -14,7 +14,6 @@ exact; estimation code converts to float.
 from __future__ import annotations
 
 import enum
-import io
 from dataclasses import dataclass, field
 
 
@@ -122,7 +121,6 @@ class PairObs:
     x2: float
     y2: float
     w: float
-    skater: SkaterPair | None = None
 
 
 _STATUS_TOKENS = {s.value: s for s in RunStatus}
@@ -159,14 +157,11 @@ def _parse_run(fields: list[str], line: int) -> Run:
     return Run(lane, t100, t500, status)
 
 
-def parse_event(source: str | io.TextIOBase, format: str = "csv") -> EventDataset:
+def parse_event(text: str) -> EventDataset:
     """Parse a championship result file into an EventDataset.
 
     Row order, lanes, statuses and times are preserved exactly.
     """
-    if format != "csv":
-        raise ValueError(f"unsupported format {format!r}")
-    text = source.read() if hasattr(source, "read") else source
     lines = text.splitlines()
     if not lines or not lines[0].startswith("#event,"):
         raise ParseError("missing '#event,<venue>,<year>' header", 1)
@@ -245,11 +240,11 @@ def usable_pairs(ds: EventDataset, lane_policy: str = "warn_day1",
             if lane_policy == "strict":
                 continue
         out.append(PairObs(s.name, s.day1.t100, s.day1.t500,
-                           s.day2.t100, s.day2.t500, lane_indicator(s), s))
+                           s.day2.t100, s.day2.t500, lane_indicator(s)))
     return out, warnings
 
 
 def load_event(path) -> EventDataset:
     """Read and parse an event file from disk."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_event(fh.read())

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import PairObs
-from .model import FitResult, fit_ml
+from .model import FitResult, day_residuals, fit_ml
 
 DEFAULT_THRESHOLD = 2.75
 
@@ -56,24 +56,15 @@ def outlier_scan(pairs: Sequence[PairObs], fit: FitResult,
     sqrt(2) sigma_un.  Flags: |t1| > threshold, |t2| > threshold,
     |t3| >= threshold.
     """
+    r1, r2 = day_residuals(pairs, fit.beta)
     marginal = math.hypot(fit.sigma_un, fit.kappa_un)
-    scale3 = math.sqrt(2.0) * fit.sigma_un
+    t1, t2 = r1 / marginal, r2 / marginal
+    t3 = (r2 - r1) / (math.sqrt(2.0) * fit.sigma_un)
+    hits = zip(np.abs(t1) > threshold, np.abs(t2) > threshold, np.abs(t3) >= threshold)
     records = []
-    for p in pairs:
-        mu1, mu2 = fit.predicted(p)
-        r1 = p.y1 - mu1
-        r2 = p.y2 - mu2
-        t1 = r1 / marginal
-        t2 = r2 / marginal
-        t3 = (r2 - r1) / scale3
-        tags = []
-        if abs(t1) > threshold:
-            tags.append("T1")
-        if abs(t2) > threshold:
-            tags.append("T2")
-        if abs(t3) >= threshold:
-            tags.append("T3")
-        records.append(OutlierRecord(p.name, t1, t2, t3, tuple(tags)))
+    for p, s1, s2, s3, hit in zip(pairs, t1.tolist(), t2.tolist(), t3.tolist(), hits):
+        tags = tuple(tag for tag, h in zip(("T1", "T2", "T3"), hit) if h)
+        records.append(OutlierRecord(p.name, s1, s2, s3, tags))
     return OutlierReport(tuple(records), threshold)
 
 
@@ -125,8 +116,8 @@ def gaussian_kde_curve(values: Sequence[float], bandwidth: float | str = "silver
         h = 1.06 * float(np.std(v, ddof=1)) * v.size ** (-0.2)
     else:
         h = float(bandwidth)
-    if h <= 0.0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {h}")
     grid = np.linspace(v.min() - 3.0 * h, v.max() + 3.0 * h, gridsize)
     z = (grid[:, None] - v[None, :]) / h
     density = np.exp(-0.5 * z * z).sum(axis=1) / (v.size * h * math.sqrt(2.0 * math.pi))
@@ -182,23 +173,13 @@ def validate_model(pairs: Sequence[PairObs], fit: FitResult,
     n = len(pairs)
     if n < 8:
         raise ValueError(f"need at least 8 pairs for moment statistics, got {n}")
-    abar = 0.5 * (fit.a1 + fit.a2)
-    scale_ave = math.sqrt(fit.kappa_un ** 2 + fit.sigma_un ** 2 / 2.0)
-    scale_diff = math.sqrt(2.0) * fit.sigma_un
-    ave, diff, records = [], [], []
-    for p in pairs:
-        xbar = 0.5 * (p.x1 + p.x2)
-        ybar = 0.5 * (p.y1 + p.y2)
-        a = (ybar - (abar + fit.b * xbar)) / scale_ave
-        dd = (p.y2 - p.y1 - (fit.a2 - fit.a1 + fit.b * (p.x2 - p.x1)
-                             - 2.0 * fit.d * p.w)) / scale_diff
-        ave.append(a)
-        diff.append(dd)
-        records.append(ValidationRecord(p.name, a, dd))
-    ave_v = np.array(ave)
-    diff_v = np.array(diff)
+    r1, r2 = day_residuals(pairs, fit.beta)
+    ave_v = 0.5 * (r1 + r2) / math.sqrt(fit.kappa_un ** 2 + fit.sigma_un ** 2 / 2.0)
+    diff_v = (r2 - r1) / (math.sqrt(2.0) * fit.sigma_un)
+    records = tuple(ValidationRecord(p.name, a, dd)
+                    for p, a, dd in zip(pairs, ave_v.tolist(), diff_v.tolist()))
     return ValidationReport(
-        records=tuple(records),
+        records=records,
         skew_diff=_skew(diff_v), skew_ave=_skew(ave_v),
         kurt_diff=_kurt(diff_v), kurt_ave=_kurt(ave_v),
         corr=float(np.corrcoef(ave_v, diff_v)[0, 1]),
@@ -235,9 +216,9 @@ def adjusted_differences(pairs: Sequence[PairObs]) -> AdjustedDiffs:
     group should sit near -d and the inner-start-first group near +d.
     """
     fit0 = fit_ml(pairs, constraint="d_equals_zero")
-    scale = math.sqrt(2.0) * fit0.sigma_un
-    records = []
-    for p in pairs:
-        D = (p.y2 - fit0.a2 - fit0.b * p.x2) - (p.y1 - fit0.a1 - fit0.b * p.x1)
-        records.append(AdjustedDiffRecord(p.name, p.w, D, D / scale))
-    return AdjustedDiffs(tuple(records), fit0)
+    r1, r2 = day_residuals(pairs, fit0.beta)
+    D = r2 - r1
+    star = D / (math.sqrt(2.0) * fit0.sigma_un)
+    records = tuple(AdjustedDiffRecord(p.name, p.w, dd, ds)
+                    for p, dd, ds in zip(pairs, D.tolist(), star.tolist()))
+    return AdjustedDiffs(records, fit0)

@@ -125,13 +125,20 @@ def _residual_sums(m: MomentMatrices, beta: np.ndarray) -> tuple[float, float]:
     return max(m.n * float(b @ m.A @ b), 0.0), max(m.n * float(b @ m.D @ b), 0.0)
 
 
+def day_residuals(pairs: Sequence[PairObs],
+                  beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair residuals r1 = y1 - (a1 + b x1 + d w) and
+    r2 = y2 - (a2 + b x2 - d w); a 3-coefficient beta means d = 0."""
+    x1, y1, x2, y2, w = _arrays(pairs)
+    a1, a2, b = beta[:3]
+    d = beta[3] if len(beta) == 4 else 0.0
+    return y1 - (a1 + b * x1 + d * w), y2 - (a2 + b * x2 - d * w)
+
+
 def q_components(pairs: Sequence[PairObs], beta: np.ndarray) -> tuple[float, float, float]:
     """Residual sums Q1 = sum r1^2, Q2 = sum r2^2, Q3 = sum r1*r2, formed
     directly from the pairs (exact for a perfect fit)."""
-    beta = np.asarray(beta, dtype=float)
-    X1, X2, y1, y2 = design_rows(pairs, with_lane=len(beta) == 4)
-    r1 = y1 - X1 @ beta
-    r2 = y2 - X2 @ beta
+    r1, r2 = day_residuals(pairs, beta)
     return float(r1 @ r1), float(r2 @ r2), float(r1 @ r2)
 
 
@@ -202,12 +209,6 @@ class FitResult:
     @property
     def se_d(self) -> float:
         return float(self.se[3])
-
-    def predicted(self, pair: PairObs) -> tuple[float, float]:
-        """Model means for the pair's two runs."""
-        mu1 = self.a1 + self.b * pair.x1 + self.d * pair.w
-        mu2 = self.a2 + self.b * pair.x2 - self.d * pair.w
-        return mu1, mu2
 
     def to_json_dict(self) -> dict:
         sig = _six_significant
@@ -307,19 +308,23 @@ class SimpleFit:
 
 
 def fit_simple(pairs: Sequence[PairObs]) -> SimpleFit:
-    """Regress Y2 - Y1 on an intercept, x2 - x1 and -2w."""
+    """Regress Y2 - Y1 on an intercept, x2 - x1 and -2w.
+
+    This is the difference Gram D alone, on the coordinates (a1, b, d):
+    its rows regress Y1 - Y2 on (1, x1 - x2, 2w), so a0 = -a1.
+    """
     n = len(pairs)
     if n < 4:
         raise InsufficientDataError(f"need at least 4 usable pairs, got {n}")
-    x1, y1, x2, y2, w = _arrays(pairs)
-    X = np.column_stack([np.ones(n), x2 - x1, -2.0 * w])
-    if np.linalg.matrix_rank(X) < 3:
+    D = build_moments(pairs).D
+    g = D[np.ix_([0, 2, 3], [0, 2, 3])]
+    if np.linalg.matrix_rank(g) < 3:
         raise DegenerateDesignError("collinear difference design")
-    coef, *_ = np.linalg.lstsq(X, y2 - y1, rcond=None)
-    resid = y2 - y1 - X @ coef
-    s2 = float(resid @ resid) / (n - 3)
-    cov = s2 * np.linalg.inv(X.T @ X)
-    return SimpleFit(a0=float(coef[0]), b=float(coef[1]), d=float(coef[2]),
+    rhs = D[[0, 2, 3], 4]
+    coef = np.linalg.solve(g, rhs)
+    s2 = max(n * float(D[4, 4] - coef @ rhs), 0.0) / (n - 3)
+    cov = s2 * np.linalg.inv(g) / n
+    return SimpleFit(a0=-float(coef[0]), b=float(coef[1]), d=float(coef[2]),
                      sigma=math.sqrt(s2 / 2.0), se_d=math.sqrt(float(cov[2, 2])), n=n)
 
 
@@ -341,8 +346,8 @@ def variance_report(fit: FitResult, pairs: Sequence[PairObs]) -> VarianceReport:
     sigma^2 (1/2 + kurt/4) / n with kurt the excess kurtosis of the
     day-to-day residual differences (zero under normality).
     """
-    x1, y1, x2, y2, w = _arrays(pairs)
-    resid = (y2 - y1) - (fit.a2 - fit.a1 + fit.b * (x2 - x1) - 2.0 * fit.d * w)
+    r1, r2 = day_residuals(pairs, fit.beta)
+    resid = r2 - r1
     centered = resid - resid.mean()
     m2 = float((centered ** 2).mean())
     kurt = float((centered ** 4).mean()) / m2 ** 2 - 3.0 if m2 > 0 else 0.0

@@ -54,6 +54,8 @@ def mc_calibration(n: int = 30, reps: int = 2000, seed: int = 7,
     lane-difference estimate with its large-sample variance 2 sigma^2/n."""
     if reps < 2:
         raise ValueError(f"need at least 2 replicates for a variance, got {reps}")
+    if not sigma > 0.0:
+        raise ValueError(f"need sigma > 0 for the variance ratio, got {sigma:g}")
     rng = np.random.default_rng(seed)
     ds = np.empty(reps)
     s2 = np.empty(reps)
@@ -95,12 +97,8 @@ def null_flag_rates(events: int = 200, n: int = 250, seed: int = 11,
         pairs = simulate_event(rng, n, d=0.0, sigma=sigma, kappa=kappa)
         report = outlier_scan(pairs, fit_ml(pairs), threshold)
         for rec in report.records:
-            if abs(rec.t1) > threshold:
-                counts["T1"] += 1
-            if abs(rec.t2) > threshold:
-                counts["T2"] += 1
-            if abs(rec.t3) >= threshold:
-                counts["T3"] += 1
+            for tag in rec.flagged_by:
+                counts[tag] += 1
         total += n
     return {k: v / total for k, v in counts.items()} | {"runs": float(total)}
 

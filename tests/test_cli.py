@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from lanefair.cli import main
 
@@ -209,3 +210,29 @@ def test_mc_needs_two_replicates(capsys):
         code, out, err = run(capsys, "mc", "--n", "20", "--reps", reps, "--format", "json")
         assert code == 5 and out == ""
         assert err.count("\n") == 1 and "replicates" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("fit", str(DATA / "swc1994.csv"), "--threshold", "nan"),
+    ("speculate", str(DATA / "oly1994.csv"), "--d", "nan"),
+    ("speculate", str(DATA / "oly1994.csv"), "--d", "inf"),
+    ("validate", str(DATA / "swc1994.csv"), "--bandwidth", "abc"),
+    ("validate", str(DATA / "swc1994.csv"), "--bandwidth", "nan"),
+    ("power", "--sigma", "nan", "--se", "0.02"),
+    ("mc", "--n", "6", "--reps", "5", "--sigma", "0"),
+], ids=["fit-threshold-nan", "speculate-d-nan", "speculate-d-inf", "validate-bandwidth-abc",
+        "validate-bandwidth-nan", "power-sigma-nan", "mc-sigma-zero"])
+def test_unusable_arguments_are_compute_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 5 and out == ""
+    assert err.count("\n") == 1 and err.startswith("lanefair: ")
+
+
+def test_byte_order_mark_is_ignored(capsys, tmp_path):
+    source = DATA / "swc1994.csv"
+    bom = tmp_path / "swc1994.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    _, expected, _ = run(capsys, "fit", str(source))
+    code, out, err = run(capsys, "fit", str(bom))
+    assert code == 0 and not err
+    assert out == expected

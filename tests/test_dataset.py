@@ -3,8 +3,8 @@ from __future__ import annotations
 import pytest
 
 from lanefair.dataset import (EventDataset, Lane, ParseError, RunStatus,
-                              lane_indicator, parse_event, serialize_event,
-                              usable_pairs)
+                              lane_indicator, load_event, parse_event,
+                              serialize_event, usable_pairs)
 
 from conftest import DATA
 
@@ -100,11 +100,19 @@ def test_lane_groups_partition_usable_pairs(usable):
 
 def test_filtering_idempotent(events):
     pairs, _ = usable_pairs(events[1994])
+    names = {p.name for p in pairs}
     kept = EventDataset("Calgary", 1994,
-                        [p.skater for p in pairs if p.skater is not None])
+                        [s for s in events[1994].skaters if s.name in names])
     again, warns = usable_pairs(kept)
     assert [(p.name, p.w) for p in again] == [(p.name, p.w) for p in pairs]
     assert not warns
+
+
+def test_load_event_ignores_byte_order_mark(tmp_path):
+    source = DATA / "swc1994.csv"
+    bom = tmp_path / "swc1994.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    assert load_event(bom) == load_event(source)
 
 
 def test_event_with_no_usable_pairs():

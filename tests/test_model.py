@@ -355,6 +355,19 @@ def test_fit_simple_zero_differences():
     assert (simple.a0, simple.b, simple.d) == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
 
 
+def test_fit_simple_rejects_collinear_difference_designs():
+    # every skater in one lane: the -2w column is a multiple of the intercept
+    one_lane = [_pair(str(i), 10.0 + 0.07 * i, 37.0 + 0.13 * i + 0.01 * (i % 3),
+                      10.1 + 0.05 * (i % 4), 37.2 + 0.11 * i, 0.5) for i in range(10)]
+    # x2 - x1 is 0.05 s for everyone (up to float rounding of the centiseconds)
+    same_gap = [_pair(str(i), (1000 + 7 * i) / 100, (3700 + 13 * i + i % 3) / 100,
+                      (1005 + 7 * i) / 100, (3720 + 11 * i) / 100, (-1) ** i * 0.5)
+                for i in range(10)]
+    for pairs in (one_lane, same_gap):
+        with pytest.raises(DegenerateDesignError):
+            fit_simple(pairs)
+
+
 def test_fit_simple_tracks_mixed_fit_on_synthetic():
     rng = np.random.default_rng(9)
     for _ in range(50):
