@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -12,10 +11,10 @@ from . import counterfactual, report
 from .dataset import ParseError, usable_pairs
 from .diagnostics import (DEFAULT_THRESHOLD, adjusted_differences,
                           clean_and_refit, validate_model)
-from .meta import (MetaError, combine, power_plan, read_summaries, split_half,
-                   summaries_from_events)
+from .meta import (EventSummary, MetaError, combine, power_plan, read_summaries,
+                   split_half)
 from .model import FitError
-from .simulate import mc_calibration, mc_report_dict
+from .simulate import mc_calibration
 
 EXIT_OK = 0
 EXIT_IO = 3
@@ -44,6 +43,13 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise _CliFailure(EXIT_IO, f"cannot write {out}: {exc.strerror}") from None
+
+
+def _render(output: str, fmt: str, *result) -> str:
+    try:
+        return report.render(output, fmt, *result)
+    except ValueError as exc:       # NaN or infinity refused by the JSON writer
+        raise _CliFailure(EXIT_COMPUTE, f"{output}: {exc}") from None
 
 
 def _load_events(paths):
@@ -75,13 +81,7 @@ def cmd_fit(args) -> int:
     events = _load_events(args.files)
     cleaned = _clean_all(events, args.lane_policy, args.threshold)
     rows = [(ds.label, c, len(pairs)) for ds, pairs, c in cleaned]
-    if args.format == "json":
-        text = report.fit_json(rows)
-    elif args.format == "csv":
-        text = report.fit_csv(rows)
-    else:
-        text = report.fit_text(rows)
-    _emit(text, args.out)
+    _emit(_render("fit", args.format, rows), args.out)
     return EXIT_OK
 
 
@@ -92,34 +92,21 @@ def cmd_meta(args) -> int:
         except MetaError as exc:
             raise _CliFailure(EXIT_PARSE, f"{args.summary}: {exc}") from None
     elif args.files:
-        events = _load_events(args.files)
-        cleaned = _clean_all(events, args.lane_policy, args.threshold)
-        try:
-            summaries = summaries_from_events(
-                (ds.label, c.pairs_clean) for ds, _, c in cleaned)
-        except FitError as exc:
-            raise _CliFailure(EXIT_COMPUTE, str(exc)) from None
+        cleaned = _clean_all(_load_events(args.files), args.lane_policy, args.threshold)
+        summaries = [EventSummary(ds.label, c.fit.d, c.fit.se_d, c.fit.n)
+                     for ds, _, c in cleaned]
     else:
         raise _CliFailure(EXIT_PARSE, "meta needs event files or --summary")
     try:
         result = combine(summaries)
     except MetaError as exc:
         raise _CliFailure(EXIT_COMPUTE, str(exc)) from None
+    contrast = None
     if args.split_half:
         if args.summary:
             raise _CliFailure(EXIT_PARSE, "--split-half needs raw event files")
         contrast = split_half((ds.label, c.pairs_clean) for ds, _, c in cleaned)
-        extra = (f"split-half contrast (best - rest): {contrast.combined_delta:+.3f}"
-                 f" +- {contrast.combined_se:.3f}\n")
-    else:
-        extra = ""
-    if args.format == "json":
-        text = report.meta_json(summaries, result)
-    elif args.format == "csv":
-        text = report.meta_csv(summaries, result)
-    else:
-        text = report.meta_text(summaries, result) + extra
-    _emit(text, args.out)
+    _emit(_render("meta", args.format, summaries, result, contrast), args.out)
     return EXIT_OK
 
 
@@ -130,7 +117,7 @@ def cmd_speculate(args) -> int:
     except ParseError as exc:
         raise _CliFailure(EXIT_PARSE, f"{args.file}: {exc}") from None
     spec = counterfactual.speculate(entries, args.d)
-    _emit(report.speculate_render(args.format, label, entries, spec), args.out)
+    _emit(_render("speculate", args.format, label, entries, spec), args.out)
     return EXIT_OK
 
 
@@ -148,21 +135,12 @@ def cmd_validate(args) -> int:
     except ValueError as exc:
         raise _CliFailure(EXIT_COMPUTE, f"{ds.label}: {exc}") from None
     if args.kde_prefix:
-        _emit(report.kde_csv(rep.kde_diff), f"{args.kde_prefix}_diff.csv")
-        _emit(report.kde_csv(rep.kde_ave), f"{args.kde_prefix}_ave.csv")
+        _emit(_render("kde", "csv", rep.kde_diff), f"{args.kde_prefix}_diff.csv")
+        _emit(_render("kde", "csv", rep.kde_ave), f"{args.kde_prefix}_ave.csv")
     if args.adjusted_out:
         ad = adjusted_differences(c.pairs_clean)
-        if args.format == "json":
-            _emit(report.adjusted_json(ds.label, ad), args.adjusted_out)
-        else:
-            _emit(report.adjusted_csv(ad), args.adjusted_out)
-    if args.format == "json":
-        text = report.validation_json(ds.label, rep)
-    elif args.format == "csv":
-        text = report.validation_csv(rep)
-    else:
-        text = report.validation_text(ds.label, rep)
-    _emit(text, args.out)
+        _emit(_render("adjusted", args.format, ds.label, ad), args.adjusted_out)
+    _emit(_render("validate", args.format, ds.label, rep), args.out)
     return EXIT_OK
 
 
@@ -171,15 +149,7 @@ def cmd_power(args) -> int:
         spec = power_plan(args.sigma, args.se, args.d, args.alpha)
     except MetaError as exc:
         raise _CliFailure(EXIT_COMPUTE, str(exc)) from None
-    if args.format == "json":
-        text = json.dumps(report.power_dict(spec), indent=2) + "\n"
-    elif args.format == "csv":
-        text = ("sigma,target_se,true_d,alpha,N_required,power\n"
-                f"{spec.sigma:g},{spec.target_se:g},{spec.true_d:g},"
-                f"{spec.alpha:g},{spec.N_required},{spec.power:.4f}\n")
-    else:
-        text = report.power_text(spec)
-    _emit(text, args.out)
+    _emit(_render("power", args.format, spec), args.out)
     return EXIT_OK
 
 
@@ -189,16 +159,7 @@ def cmd_mc(args) -> int:
                              d=args.d, sigma=args.sigma, kappa=args.kappa)
     except ValueError as exc:
         raise _CliFailure(EXIT_COMPUTE, str(exc)) from None
-    if args.format == "json":
-        text = json.dumps(mc_report_dict(rep), indent=2) + "\n"
-    elif args.format == "csv":
-        d = mc_report_dict(rep)
-        keys = ["n", "reps", "seed", "d_mean", "d_var", "d_var_theory",
-                "var_ratio", "sigma2_un_mean", "rho_mean"]
-        text = ",".join(keys) + "\n" + ",".join(str(d[k]) for k in keys) + "\n"
-    else:
-        text = report.mc_text(rep)
-    _emit(text, args.out)
+    _emit(_render("mc", args.format, rep), args.out)
     return EXIT_OK
 
 

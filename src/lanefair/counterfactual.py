@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .dataset import (_LANE_TOKENS, _STATUS_TOKENS, Lane, ParseError, RunStatus,
-                      _parse_time)
+                      _parse_time, format_time)
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,7 @@ class SpeculativeEntry:
 
     @property
     def time_text(self) -> str:
-        if self.time_cs is None:
-            return "---"
-        return f"{self.time_cs // 100}.{self.time_cs % 100:02d}"
+        return "---" if self.time_cs is None else format_time(self.time_cs)
 
 
 @dataclass(frozen=True)
@@ -123,40 +121,3 @@ def round_trip(entries: Sequence[OlympicEntry], d: float) -> list[OlympicEntry]:
     twice = speculate(flipped, d)
     back = {e.name: e.time_cs for e in twice.entries}
     return [OlympicEntry(e.name, e.lane, back[e.name], e.status) for e in entries]
-
-
-def render_speculative_csv(spec: SpeculativeList) -> str:
-    lines = ["rank,name,time"]
-    for e in spec.entries:
-        lines.append(f"{'' if e.rank is None else e.rank},{e.name},{e.time_text}")
-    return "\n".join(lines) + "\n"
-
-
-def render_side_by_side(entries: Sequence[OlympicEntry], spec: SpeculativeList,
-                        label: str = "") -> str:
-    """Aligned real-vs-speculative listing, one skater per line each side."""
-    real_rows = []
-    rank = 0
-    prev = None
-    for pos, e in enumerate((e for e in entries if e.finished), start=1):
-        rank = rank if e.time_cs == prev else pos
-        shown = "" if e.time_cs == prev else f"{rank}."
-        real_rows.append((shown, e.name, e.lane.value,
-                          f"{e.time_cs // 100}.{e.time_cs % 100:02d}"))
-        prev = e.time_cs
-    real_rows += [("", e.name, e.lane.value, e.status.value)
-                  for e in entries if not e.finished]
-    spec_rows = []
-    prev_rank = None
-    for e in spec.entries:
-        shown = "" if e.rank is None or e.rank == prev_rank else f"{e.rank}."
-        spec_rows.append((shown, e.name, e.time_text))
-        prev_rank = e.rank
-    width = max(len(r[1]) for r in real_rows)
-    lines = []
-    if label:
-        lines.append(label)
-    lines.append(f"{'real list:':<{width + 13}}speculative list:")
-    for (rr, rn, rl, rt), (sr, sn, st) in zip(real_rows, spec_rows):
-        lines.append(f"{rr:>4} {rn:<{width}} {rl} {rt:>6}    {sr:>4} {sn:<{width}} {st:>6}")
-    return "\n".join(lines) + "\n"

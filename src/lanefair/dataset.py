@@ -137,6 +137,11 @@ def _parse_time(token: str, line: int) -> int | None:
     return int(whole) * 100 + int(frac)
 
 
+def format_time(cs: int | None) -> str:
+    """Inverse of ``_parse_time``: seconds with two decimals, '' for no time."""
+    return "" if cs is None else f"{cs // 100}.{cs % 100:02d}"
+
+
 def _parse_run(fields: list[str], line: int) -> Run:
     lane_tok, t100_tok, t500_tok, status_tok = fields
     lane = _LANE_TOKENS.get(lane_tok.strip())
@@ -198,14 +203,12 @@ def parse_event(text: str) -> EventDataset:
 
 def serialize_event(ds: EventDataset) -> str:
     """Inverse of parse_event (byte-exact round trip for canonical files)."""
-    def fmt(cs: int | None) -> str:
-        return "" if cs is None else f"{cs // 100}.{cs % 100:02d}"
-
     lines = [f"#event,{ds.venue},{ds.year}"]
     for s in ds.skaters:
         row = [s.name]
         for run in (s.day1, s.day2):
-            row += [run.lane.value, fmt(run.t100_cs), fmt(run.t500_cs), run.status.value]
+            row += [run.lane.value, format_time(run.t100_cs), format_time(run.t500_cs),
+                    run.status.value]
         if s.note:
             row.append(s.note)
         lines.append(",".join(row))

@@ -42,6 +42,8 @@ class EventSummary:
             raise MetaError(f"{self.label}: non-finite estimate")
         if not self.se > 0.0:
             raise MetaError(f"{self.label}: standard error must be positive")
+        if not 1e-154 < self.se < 1e154:    # where 1/se^2 is a positive finite float
+            raise MetaError(f"{self.label}: standard error {self.se:g} has no finite weight")
 
 
 @dataclass(frozen=True)
@@ -61,15 +63,22 @@ def combine(summaries: Sequence[EventSummary]) -> MetaResult:
 
     With a single summary the combination is that summary itself and the
     between-event spread is reported as zero.
+    Raises MetaError when a sum or the spread overflows.
     """
     if not summaries:
         raise MetaError("no event summaries to combine")
     d = np.array([s.d for s in summaries])
     w = np.array([1.0 / s.se ** 2 for s in summaries])
-    grand = float((w * d).sum() / w.sum())
-    se = float(w.sum() ** -0.5)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            grand = float((w * d).sum() / w.sum())
+            se = float(w.sum() ** -0.5)
+            omega0 = heterogeneity(summaries, grand) if len(summaries) >= 2 else 0.0
+    except FloatingPointError as exc:
+        raise MetaError(f"cannot combine the estimates: {exc}") from None
+    if not math.isfinite(omega0):
+        raise MetaError("cannot combine the estimates: omega0 overflows")
     z = grand / se
-    omega0 = heterogeneity(summaries, grand) if len(summaries) >= 2 else 0.0
     return MetaResult(
         grand_d=grand, grand_se=se, z=z,
         p_one_sided=_upper_tail(z),
@@ -136,7 +145,10 @@ def power_plan(sigma: float, target_se: float, true_d: float,
     """
     if min(sigma, target_se) <= 0.0 or not 0.0 < alpha < 0.5:
         raise MetaError("need sigma, target_se > 0 and alpha in (0, 0.5)")
-    n_req = math.ceil(2.0 * sigma ** 2 / target_se ** 2)
+    try:
+        n_req = math.ceil(2.0 * sigma ** 2 / target_se ** 2)
+    except (OverflowError, ZeroDivisionError):
+        raise MetaError("the required number of runs is not a finite number") from None
     power = _NORMAL.cdf(true_d / target_se - _NORMAL.inv_cdf(1.0 - alpha))
     return PowerSpec(sigma, target_se, true_d, alpha, n_req, power)
 

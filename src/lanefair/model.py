@@ -210,23 +210,6 @@ class FitResult:
     def se_d(self) -> float:
         return float(self.se[3])
 
-    def to_json_dict(self) -> dict:
-        sig = _six_significant
-        return {
-            "a1": sig(self.a1), "a2": sig(self.a2), "b": sig(self.b), "d": sig(self.d),
-            "rho": sig(self.rho),
-            "sigma_un": sig(self.sigma_un), "kappa_un": sig(self.kappa_un),
-            "se": {"a1": sig(self.se[0]), "a2": sig(self.se[1]),
-                   "b": sig(self.se[2]), "d": sig(self.se[3])},
-            "loglik": sig(self.loglik),
-            "n": self.n,
-            "warnings": list(self.warnings),
-        }
-
-
-def _six_significant(x: float) -> float:
-    return float(f"{x:.6g}")
-
 
 def fit_ml(pairs: Sequence[PairObs], constraint: str = "free_d",
            warnings: Sequence[str] = ()) -> FitResult:

@@ -1,48 +1,64 @@
-"""Text, CSV and JSON renderings of analysis results."""
+"""Text, CSV and JSON renderings of every command-line output.
+
+``render(output, fmt, *result)`` looks the renderer up in one table keyed
+by (output, format); the renderers of one output share a signature.  JSON
+numbers that are estimates carry six significant figures (``_g``), and
+``_json`` refuses NaN and infinity, so every JSON output is valid JSON.
+"""
 
 from __future__ import annotations
 
 import json
 from typing import Sequence
 
-from .counterfactual import (OlympicEntry, SpeculativeList,
-                             render_side_by_side, render_speculative_csv)
+from .counterfactual import SpeculativeList
+from .dataset import format_time
 from .diagnostics import AdjustedDiffs, CleanedFit, ValidationReport
-from .meta import EventSummary, MetaResult, PowerSpec
-from .simulate import McReport, mc_report_dict
+from .meta import MetaResult, PowerSpec, SplitContrast
+from .simulate import McReport
+
+FitRows = Sequence[tuple[str, CleanedFit, int]]     # (label, cleaned fit, usable pairs)
 
 
 def _g(x: float) -> float:
     return float(f"{x:.6g}")
 
 
-def fit_event_dict(label: str, cleaned: CleanedFit, n_usable: int) -> dict:
-    return {
-        "label": label,
-        "n_usable": n_usable,
-        "fit": cleaned.fit.to_json_dict(),
-        "outliers": {
-            "threshold": cleaned.report.threshold,
-            "removed": list(cleaned.removed),
-            "statistics": [
-                {"name": r.name, "t1": _g(r.t1), "t2": _g(r.t2), "t3": _g(r.t3),
-                 "flagged_by": list(r.flagged_by)}
-                for r in cleaned.report.records],
-        },
-    }
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def fit_json(events: Sequence[tuple[str, CleanedFit, int]]) -> str:
-    payload = {"events": [fit_event_dict(l, c, n) for l, c, n in events]}
-    return json.dumps(payload, indent=2) + "\n"
+def _fit_json(rows: FitRows) -> str:
+    events = []
+    for label, c, n_usable in rows:
+        f, se = c.fit, c.fit.se
+        events.append({
+            "label": label,
+            "n_usable": n_usable,
+            "fit": {
+                "a1": _g(f.a1), "a2": _g(f.a2), "b": _g(f.b), "d": _g(f.d),
+                "rho": _g(f.rho),
+                "sigma_un": _g(f.sigma_un), "kappa_un": _g(f.kappa_un),
+                "se": {"a1": _g(se[0]), "a2": _g(se[1]), "b": _g(se[2]), "d": _g(se[3])},
+                "loglik": _g(f.loglik),
+                "n": f.n,
+                "warnings": list(f.warnings),
+            },
+            "outliers": {
+                "threshold": c.report.threshold,
+                "removed": list(c.removed),
+                "statistics": [
+                    {"name": r.name, "t1": _g(r.t1), "t2": _g(r.t2), "t3": _g(r.t3),
+                     "flagged_by": list(r.flagged_by)}
+                    for r in c.report.records],
+            },
+        })
+    return _json({"events": events})
 
 
-_FIT_COLS = "label,a1,a2,b,d,rho,sigma,kappa,se_d,n,outliers"
-
-
-def fit_csv(events: Sequence[tuple[str, CleanedFit, int]]) -> str:
-    lines = [_FIT_COLS]
-    for label, c, _ in events:
+def _fit_csv(rows: FitRows) -> str:
+    lines = ["label,a1,a2,b,d,rho,sigma,kappa,se_d,n,outliers"]
+    for label, c, _ in rows:
         f = c.fit
         lines.append(",".join([
             label, f"{f.a1:.3f}", f"{f.a2:.3f}", f"{f.b:.3f}", f"{f.d:.3f}",
@@ -51,11 +67,11 @@ def fit_csv(events: Sequence[tuple[str, CleanedFit, int]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def fit_text(events: Sequence[tuple[str, CleanedFit, int]]) -> str:
+def _fit_text(rows: FitRows) -> str:
     head = (f"{'event':<18}{'a1':>8}{'a2':>8}{'b':>7}{'d':>8}"
             f"{'rho':>7}{'sigma':>7}{'kappa':>7}{'se(d)':>7}{'n':>4}")
     lines = [head]
-    for label, c, n_usable in events:
+    for label, c, n_usable in rows:
         f = c.fit
         lines.append(f"{label:<18}{f.a1:>8.3f}{f.a2:>8.3f}{f.b:>7.3f}{f.d:>8.3f}"
                      f"{f.rho:>7.3f}{f.sigma_un:>7.3f}{f.kappa_un:>7.3f}"
@@ -67,8 +83,8 @@ def fit_text(events: Sequence[tuple[str, CleanedFit, int]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def meta_dict(summaries: Sequence[EventSummary], result: MetaResult) -> dict:
-    return {
+def _meta_json(summaries, result: MetaResult, contrast: SplitContrast | None) -> str:
+    payload = {
         "events": [{"label": s.label, "d": _g(s.d), "se": _g(s.se)} for s in summaries],
         "grand": {
             "d": _g(result.grand_d), "se": _g(result.grand_se), "z": _g(result.z),
@@ -77,20 +93,23 @@ def meta_dict(summaries: Sequence[EventSummary], result: MetaResult) -> dict:
             "omega0": _g(result.omega0), "K": result.K,
         },
     }
+    if contrast is not None:
+        payload["split_half"] = {"delta": _g(contrast.combined_delta),
+                                 "se": _g(contrast.combined_se)}
+    return _json(payload)
 
 
-def meta_json(summaries, result) -> str:
-    return json.dumps(meta_dict(summaries, result), indent=2) + "\n"
-
-
-def meta_csv(summaries, result) -> str:
+def _meta_csv(summaries, result: MetaResult, contrast: SplitContrast | None) -> str:
     lines = ["label,d,se"]
     lines += [f"{s.label},{s.d:.3f},{s.se:.3f}" for s in summaries]
     lines.append(f"grand average,{result.grand_d:.3f},{result.grand_se:.3f}")
+    if contrast is not None:
+        lines.append(f"split-half (best - rest),{contrast.combined_delta:.3f},"
+                     f"{contrast.combined_se:.3f}")
     return "\n".join(lines) + "\n"
 
 
-def meta_text(summaries, result) -> str:
+def _meta_text(summaries, result: MetaResult, contrast: SplitContrast | None) -> str:
     width = max(len(s.label) for s in summaries) + 2
     lines = [f"{'event':<{width}}{'d':>8}{'se':>8}"]
     lines += [f"{s.label:<{width}}{s.d:>8.3f}{s.se:>8.3f}" for s in summaries]
@@ -99,11 +118,14 @@ def meta_text(summaries, result) -> str:
                  f"two-sided p = {result.p_two_sided:.4g}")
     lines.append(f"95% CI [{result.ci95[0]:.3f}, {result.ci95[1]:.3f}], "
                  f"between-event spread omega0 = {result.omega0:.3f}")
+    if contrast is not None:
+        lines.append(f"split-half contrast (best - rest): {contrast.combined_delta:+.3f}"
+                     f" +- {contrast.combined_se:.3f}")
     return "\n".join(lines) + "\n"
 
 
-def validation_dict(label: str, rep: ValidationReport) -> dict:
-    return {
+def _validate_json(label: str, rep: ValidationReport) -> str:
+    return _json({
         "label": label,
         "n": rep.n,
         "skaters": [{"name": r.name, "ave_star": _g(r.ave_star),
@@ -115,20 +137,16 @@ def validation_dict(label: str, rep: ValidationReport) -> dict:
         },
         "bands": {"skew": _g(rep.band_skew), "kurt": _g(rep.band_kurt),
                   "corr": _g(rep.band_corr)},
-    }
+    })
 
 
-def validation_json(label: str, rep: ValidationReport) -> str:
-    return json.dumps(validation_dict(label, rep), indent=2) + "\n"
-
-
-def validation_csv(rep: ValidationReport) -> str:
+def _validate_csv(label: str, rep: ValidationReport) -> str:
     lines = ["name,ave_star,diff_star"]
     lines += [f"{r.name},{r.ave_star:.4f},{r.diff_star:.4f}" for r in rep.records]
     return "\n".join(lines) + "\n"
 
 
-def validation_text(label: str, rep: ValidationReport) -> str:
+def _validate_text(label: str, rep: ValidationReport) -> str:
     lines = [f"{label}: model validation on {rep.n} pairs",
              f"  skewness      diff* {rep.skew_diff:+.3f}  ave* {rep.skew_ave:+.3f}"
              f"   (90% band +-{rep.band_skew:.2f})",
@@ -138,65 +156,134 @@ def validation_text(label: str, rep: ValidationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def kde_csv(curve) -> str:
+def _kde_csv(curve) -> str:
     lines = ["x,density"]
     lines += [f"{x:.6g},{y:.6g}" for x, y in zip(curve.grid, curve.density)]
     return "\n".join(lines) + "\n"
 
 
-def adjusted_csv(ad: AdjustedDiffs) -> str:
+def _adjusted_csv(label: str, ad: AdjustedDiffs) -> str:
     lines = ["name,w,D,D_star"]
     lines += [f"{r.name},{r.w:+.1f},{r.D:.4f},{r.D_star:.4f}" for r in ad.records]
     return "\n".join(lines) + "\n"
 
 
-def adjusted_json(label: str, ad: AdjustedDiffs) -> str:
-    payload = {
+def _adjusted_json(label: str, ad: AdjustedDiffs) -> str:
+    return _json({
         "label": label,
         "sigma_un": _g(ad.fit_zero_d.sigma_un),
         "skaters": [{"name": r.name, "w": r.w, "D": _g(r.D), "D_star": _g(r.D_star)}
                     for r in ad.records],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    })
 
 
-def speculate_json(label: str, entries: Sequence[OlympicEntry],
-                   spec: SpeculativeList) -> str:
-    payload = {
+def _speculate_json(label: str, entries, spec: SpeculativeList) -> str:
+    return _json({
         "label": label,
         "d": spec.d_cs / 100.0,
         "entries": [{"rank": e.rank, "name": e.name,
                      "time": None if e.time_cs is None else e.time_cs / 100.0}
                     for e in spec.entries],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    })
 
 
-def speculate_render(fmt: str, label: str, entries, spec) -> str:
-    if fmt == "json":
-        return speculate_json(label, entries, spec)
-    if fmt == "csv":
-        return render_speculative_csv(spec)
-    return render_side_by_side(entries, spec, label)
+def _speculate_csv(label: str, entries, spec: SpeculativeList) -> str:
+    lines = ["rank,name,time"]
+    for e in spec.entries:
+        lines.append(f"{'' if e.rank is None else e.rank},{e.name},{e.time_text}")
+    return "\n".join(lines) + "\n"
 
 
-def power_dict(spec: PowerSpec) -> dict:
-    return {"sigma": spec.sigma, "target_se": spec.target_se, "true_d": spec.true_d,
-            "alpha": spec.alpha, "N_required": spec.N_required, "power": _g(spec.power)}
+def _speculate_text(label: str, entries, spec: SpeculativeList) -> str:
+    """Aligned real-vs-speculative listing, one skater per line each side."""
+    real_rows = []
+    rank = 0
+    prev = None
+    for pos, e in enumerate((e for e in entries if e.finished), start=1):
+        rank = rank if e.time_cs == prev else pos
+        shown = "" if e.time_cs == prev else f"{rank}."
+        real_rows.append((shown, e.name, e.lane.value, format_time(e.time_cs)))
+        prev = e.time_cs
+    real_rows += [("", e.name, e.lane.value, e.status.value)
+                  for e in entries if not e.finished]
+    spec_rows = []
+    prev_rank = None
+    for e in spec.entries:
+        shown = "" if e.rank is None or e.rank == prev_rank else f"{e.rank}."
+        spec_rows.append((shown, e.name, e.time_text))
+        prev_rank = e.rank
+    width = max(len(r[1]) for r in real_rows)
+    lines = []
+    if label:
+        lines.append(label)
+    lines.append(f"{'real list:':<{width + 13}}speculative list:")
+    for (rr, rn, rl, rt), (sr, sn, st) in zip(real_rows, spec_rows):
+        lines.append(f"{rr:>4} {rn:<{width}} {rl} {rt:>6}    {sr:>4} {sn:<{width}} {st:>6}")
+    return "\n".join(lines) + "\n"
 
 
-def power_text(spec: PowerSpec) -> str:
+def _power_json(spec: PowerSpec) -> str:
+    return _json({"sigma": spec.sigma, "target_se": spec.target_se, "true_d": spec.true_d,
+                  "alpha": spec.alpha, "N_required": spec.N_required,
+                  "power": _g(spec.power)})
+
+
+def _power_csv(spec: PowerSpec) -> str:
+    return ("sigma,target_se,true_d,alpha,N_required,power\n"
+            f"{spec.sigma:g},{spec.target_se:g},{spec.true_d:g},"
+            f"{spec.alpha:g},{spec.N_required},{spec.power:.4f}\n")
+
+
+def _power_text(spec: PowerSpec) -> str:
     return (f"per-run spread sigma = {spec.sigma:g}, target se = {spec.target_se:g}\n"
             f"paired runs required: {spec.N_required}\n"
             f"one-sided power at true d = {spec.true_d:g} "
             f"(alpha = {spec.alpha:g}): {spec.power:.3f}\n")
 
 
-def mc_text(rep: McReport) -> str:
-    d = mc_report_dict(rep)
+# McReport fields that JSON and CSV print at six significant figures.
+_MC_ESTIMATES = ("d_mean", "d_var", "d_var_theory", "var_ratio", "sigma2_un_mean", "rho_mean")
+
+
+def _mc_json(rep: McReport) -> str:
+    return _json({"n": rep.n, "reps": rep.reps, "seed": rep.seed,
+                  "true": {"d": rep.d_true, "sigma": rep.sigma_true, "kappa": rep.kappa_true},
+                  **{k: _g(getattr(rep, k)) for k in _MC_ESTIMATES}})
+
+
+def _mc_csv(rep: McReport) -> str:
+    values = [rep.n, rep.reps, rep.seed, *(_g(getattr(rep, k)) for k in _MC_ESTIMATES)]
+    return f"n,reps,seed,{','.join(_MC_ESTIMATES)}\n{','.join(map(str, values))}\n"
+
+
+def _mc_text(rep: McReport) -> str:
     return (f"{rep.reps} simulated events of n = {rep.n} (seed {rep.seed})\n"
-            f"mean d-hat = {d['d_mean']:g} (true {rep.d_true:g})\n"
-            f"var d-hat = {d['d_var']:g} vs 2 sigma^2/n = {d['d_var_theory']:g} "
-            f"(ratio {d['var_ratio']:g})\n"
-            f"mean sigma_un^2 = {d['sigma2_un_mean']:g} (true {rep.sigma_true ** 2:g}); "
-            f"mean rho-hat = {d['rho_mean']:g}\n")
+            f"mean d-hat = {rep.d_mean:g} (true {rep.d_true:g})\n"
+            f"var d-hat = {rep.d_var:g} vs 2 sigma^2/n = {rep.d_var_theory:g} "
+            f"(ratio {rep.var_ratio:g})\n"
+            f"mean sigma_un^2 = {rep.sigma2_un_mean:g} (true {rep.sigma_true ** 2:g}); "
+            f"mean rho-hat = {rep.rho_mean:g}\n")
+
+
+_RENDERERS = {
+    ("fit", "text"): _fit_text, ("fit", "csv"): _fit_csv, ("fit", "json"): _fit_json,
+    ("meta", "text"): _meta_text, ("meta", "csv"): _meta_csv, ("meta", "json"): _meta_json,
+    ("validate", "text"): _validate_text, ("validate", "csv"): _validate_csv,
+    ("validate", "json"): _validate_json,
+    # Side files: adjusted differences are CSV unless JSON is asked for; KDE curves are CSV.
+    ("adjusted", "text"): _adjusted_csv, ("adjusted", "csv"): _adjusted_csv,
+    ("adjusted", "json"): _adjusted_json, ("kde", "csv"): _kde_csv,
+    ("speculate", "text"): _speculate_text, ("speculate", "csv"): _speculate_csv,
+    ("speculate", "json"): _speculate_json,
+    ("power", "text"): _power_text, ("power", "csv"): _power_csv,
+    ("power", "json"): _power_json,
+    ("mc", "text"): _mc_text, ("mc", "csv"): _mc_csv, ("mc", "json"): _mc_json,
+}
+
+
+def render(output: str, fmt: str, *result) -> str:
+    """Render one command's result in ``fmt`` (``text``, ``csv`` or ``json``).
+
+    Raises ValueError when a JSON rendering would hold NaN or infinity.
+    """
+    return _RENDERERS[(output, fmt)](*result)

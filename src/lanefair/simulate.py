@@ -65,23 +65,15 @@ def mc_calibration(n: int = 30, reps: int = 2000, seed: int = 7,
         ds[r] = fit.d
         s2[r] = fit.sigma_un ** 2
         rhos[r] = fit.rho
+    d_var = float(ds.var(ddof=1))
     theory = 2.0 * sigma ** 2 / n
+    if not (theory > 0.0 and math.isfinite(d_var / theory)):
+        raise ValueError(f"2 sigma^2/n = {theory:g} gives no finite variance ratio")
     return McReport(
         n=n, reps=reps, seed=seed, d_true=d, sigma_true=sigma, kappa_true=kappa,
-        d_mean=float(ds.mean()), d_var=float(ds.var(ddof=1)),
-        d_var_theory=theory, var_ratio=float(ds.var(ddof=1) / theory),
+        d_mean=float(ds.mean()), d_var=d_var,
+        d_var_theory=theory, var_ratio=d_var / theory,
         sigma2_un_mean=float(s2.mean()), rho_mean=float(rhos.mean()))
-
-
-def mc_report_dict(rep: McReport) -> dict:
-    sig = lambda x: float(f"{x:.6g}")
-    return {
-        "n": rep.n, "reps": rep.reps, "seed": rep.seed,
-        "true": {"d": rep.d_true, "sigma": rep.sigma_true, "kappa": rep.kappa_true},
-        "d_mean": sig(rep.d_mean), "d_var": sig(rep.d_var),
-        "d_var_theory": sig(rep.d_var_theory), "var_ratio": sig(rep.var_ratio),
-        "sigma2_un_mean": sig(rep.sigma2_un_mean), "rho_mean": sig(rep.rho_mean),
-    }
 
 
 def null_flag_rates(events: int = 200, n: int = 250, seed: int = 11,

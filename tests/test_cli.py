@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -11,6 +14,7 @@ from lanefair.cli import main
 from conftest import DATA, REPO
 
 SCHEMAS = REPO / "src" / "lanefair" / "schemas"
+BENCHMARKS = REPO / "benchmarks"
 
 
 def run(capsys, *argv):
@@ -121,6 +125,17 @@ def test_meta_split_half_flag(capsys):
     assert code == 0
     assert "split-half contrast" in out
     assert "-0.042" in out
+    code, out, _ = run(capsys, "meta", *files, "--split-half", "--format", "json")
+    assert code == 0
+    check_schema(out, "meta")
+    contrast = json.loads(out)["split_half"]
+    assert abs(contrast["delta"] - (-0.042)) <= 5e-4 and contrast["se"] > 0
+    code, out, _ = run(capsys, "meta", *files, "--split-half", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[-1] == (f"split-half (best - rest),{contrast['delta']:.3f},"
+                                    f"{contrast['se']:.3f}")
+    _, out, _ = run(capsys, "meta", *files, "--format", "json")
+    assert "split_half" not in json.loads(out)
 
 
 def test_meta_requires_input(capsys):
@@ -212,20 +227,70 @@ def test_mc_needs_two_replicates(capsys):
         assert err.count("\n") == 1 and "replicates" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("fit", str(DATA / "swc1994.csv"), "--threshold", "nan"),
-    ("speculate", str(DATA / "oly1994.csv"), "--d", "nan"),
-    ("speculate", str(DATA / "oly1994.csv"), "--d", "inf"),
-    ("validate", str(DATA / "swc1994.csv"), "--bandwidth", "abc"),
-    ("validate", str(DATA / "swc1994.csv"), "--bandwidth", "nan"),
-    ("power", "--sigma", "nan", "--se", "0.02"),
-    ("mc", "--n", "6", "--reps", "5", "--sigma", "0"),
-], ids=["fit-threshold-nan", "speculate-d-nan", "speculate-d-inf", "validate-bandwidth-abc",
-        "validate-bandwidth-nan", "power-sigma-nan", "mc-sigma-zero"])
-def test_unusable_arguments_are_compute_errors(capsys, argv):
+# Inputs whose result leaves the float range: a summary row's weight 1/se^2,
+# a weighted sum, a run count and a variance bound that underflows to zero.
+TINY_SE = "label,d,se\nA,0.05,1e-200\nB,0.04,0.02\n"
+HUGE_D = "label,d,se\nA,1e308,0.02\nB,1e308,0.02\n"
+OUT_OF_RANGE = {
+    "mc-sigma-underflow": (("mc", "--reps", "3", "--sigma", "1e-200"), 5),
+    "meta-se-tiny": (("meta", "--summary", TINY_SE), 4),
+    "meta-d-overflow": (("meta", "--summary", HUGE_D), 5),
+    "power-overflow": (("power", "--sigma", "1e200", "--se", "1e-200"), 5),
+}
+
+
+@pytest.mark.parametrize("argv,expected", [
+    pytest.param(("fit", str(DATA / "swc1994.csv"), "--threshold", "nan"), 5,
+                 id="fit-threshold-nan"),
+    pytest.param(("speculate", str(DATA / "oly1994.csv"), "--d", "nan"), 5,
+                 id="speculate-d-nan"),
+    pytest.param(("speculate", str(DATA / "oly1994.csv"), "--d", "inf"), 5,
+                 id="speculate-d-inf"),
+    pytest.param(("validate", str(DATA / "swc1994.csv"), "--bandwidth", "abc"), 5,
+                 id="validate-bandwidth-abc"),
+    pytest.param(("validate", str(DATA / "swc1994.csv"), "--bandwidth", "nan"), 5,
+                 id="validate-bandwidth-nan"),
+    pytest.param(("power", "--sigma", "nan", "--se", "0.02"), 5, id="power-sigma-nan"),
+    pytest.param(("mc", "--n", "6", "--reps", "5", "--sigma", "0"), 5, id="mc-sigma-zero"),
+    *(pytest.param((*argv, "--format", fmt), code, id=f"{name}-{fmt}")
+      for name, (argv, code) in OUT_OF_RANGE.items() for fmt in ("text", "json")),
+])
+def test_unusable_arguments_are_compute_errors(capsys, tmp_path, argv, expected):
+    if argv[:2] == ("meta", "--summary"):
+        summary = tmp_path / "summary.csv"
+        summary.write_text(argv[2])
+        argv = (*argv[:2], str(summary), *argv[3:])
     code, out, err = run(capsys, *argv)
-    assert code == 5 and out == ""
+    assert code == expected and out == ""
     assert err.count("\n") == 1 and err.startswith("lanefair: ")
+
+
+def test_non_finite_json_is_compute_error(capsys, monkeypatch):
+    from lanefair import cli, simulate
+
+    report = simulate.mc_calibration(n=6, reps=3)
+    monkeypatch.setattr(cli, "mc_calibration",
+                        lambda **_: dataclasses.replace(report, var_ratio=math.inf))
+    code, out, err = run(capsys, "mc", "--format", "json")
+    assert code == 5 and out == ""
+    assert err.count("\n") == 1 and "not JSON compliant" in err
+    code, out, _ = run(capsys, "mc")
+    assert code == 0 and "ratio inf" in out
+
+
+def test_cli_matches_benchmark_goldens(capsys, monkeypatch, tmp_path):
+    """Every call of the benchmark's cli script reproduces its golden bytes."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    workloads = importlib.import_module("workloads")
+    monkeypatch.chdir(REPO)
+    for call in workloads.cli_script(str(tmp_path)):
+        code, out, _ = run(capsys, *call.argv)
+        assert code == 0, call.name
+        assert out.encode() == (BENCHMARKS / "goldens" / f"{call.name}.out").read_bytes(), \
+            call.name
+        for golden, rel in call.side_files:
+            assert ((tmp_path / rel).read_bytes()
+                    == (BENCHMARKS / "goldens" / golden).read_bytes()), golden
 
 
 def test_byte_order_mark_is_ignored(capsys, tmp_path):

@@ -4,8 +4,8 @@ from collections import Counter
 
 import pytest
 
-from lanefair.counterfactual import (OlympicEntry, parse_olympic, round_trip,
-                                     render_speculative_csv, speculate)
+from lanefair import report
+from lanefair.counterfactual import OlympicEntry, parse_olympic, round_trip, speculate
 from lanefair.dataset import Lane, ParseError, RunStatus
 
 from conftest import DATA, EXPECTED
@@ -164,8 +164,8 @@ def test_d_rounded_to_centiseconds():
 
 
 def test_csv_rendering():
-    _, entries = load_oly(1994)
-    text = render_speculative_csv(speculate(entries, 0.05))
+    label, entries = load_oly(1994)
+    text = report.render("speculate", "csv", label, entries, speculate(entries, 0.05))
     lines = text.splitlines()
     assert lines[0] == "rank,name,time"
     assert lines[1] == "1,Aleksandr Golubyev,36.38"
