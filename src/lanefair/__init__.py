@@ -1,18 +1,31 @@
-"""Lane-advantage estimation for two-day paired 500 m speed-skating results."""
+"""Lane-advantage estimation for two-day paired 500 m speed-skating results.
 
-from .counterfactual import OlympicEntry, SpeculativeList, parse_olympic, round_trip, speculate
-from .dataset import (EventDataset, Lane, PairObs, ParseError, Run, RunStatus,
-                      SkaterPair, lane_indicator, load_event, parse_event,
-                      serialize_event, usable_pairs)
-from .diagnostics import (AdjustedDiffs, CleanedFit, OutlierReport, ValidationReport,
-                          adjusted_differences, clean_and_refit, gaussian_kde_curve,
-                          outlier_scan, validate_model)
-from .meta import (EventSummary, MetaResult, PowerSpec, SplitContrast, combine,
-                   cross_group_correlation, heterogeneity, power_plan, predict_range,
-                   read_summaries, split_half)
-from .model import (FitError, FitResult, MomentMatrices, SimpleFit, VarianceReport,
-                    build_moments, fit_ml, fit_simple, gls_beta, profile_loglik,
-                    q_components, variance_report)
-from .simulate import mc_calibration, simulate_event
+Public names resolve from their home modules at each lookup (PEP 562): the
+package import loads no numpy, and a name patched in its home module is
+patched here too.
+"""
 
+from importlib import import_module
+
+_HOMES = {
+    "counterfactual": "OlympicEntry SpeculativeList parse_olympic round_trip speculate",
+    "dataset": "EventDataset Lane PairObs ParseError Run RunStatus SkaterPair lane_indicator"
+               " load_event parse_event serialize_event usable_pairs",
+    "diagnostics": "AdjustedDiffs CleanedFit OutlierReport ValidationReport adjusted_differences"
+                   " clean_and_refit gaussian_kde_curve outlier_scan validate_model",
+    "meta": "EventSummary MetaResult PowerSpec SplitContrast combine cross_group_correlation"
+            " heterogeneity power_plan predict_range read_summaries split_half",
+    "model": "FitError FitResult MomentMatrices SimpleFit VarianceReport build_moments fit_ml"
+             " fit_simple gls_beta profile_loglik q_components variance_report",
+    "simulate": "mc_calibration simulate_event",
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names.split()}
+
+__all__ = list(_HOME_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOME_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_HOME_OF[name]}", __name__), name)

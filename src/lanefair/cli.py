@@ -1,20 +1,18 @@
-"""Command-line front end: fit, meta, speculate, validate, power, mc."""
+"""Command-line front end: fit, meta, speculate, validate, power, mc.
+
+Each subcommand imports the modules it computes with and maps their errors
+to exit codes, so ``speculate`` and ``power`` never load numpy."""
 
 from __future__ import annotations
 
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
-from . import counterfactual, report
-from .dataset import ParseError, usable_pairs
-from .diagnostics import (DEFAULT_THRESHOLD, adjusted_differences,
-                          clean_and_refit, validate_model)
-from .meta import (EventSummary, MetaError, combine, power_plan, read_summaries,
-                   split_half)
-from .model import FitError
-from .simulate import mc_calibration
+from . import report
+from .dataset import DEFAULT_THRESHOLD, ParseError, parse_event, usable_pairs
 
 EXIT_OK = 0
 EXIT_IO = 3
@@ -26,6 +24,15 @@ class _CliFailure(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
+
+
+@contextmanager
+def _exit_on(errors, code: int, prefix: str = ""):
+    """Turn ``errors`` raised in the block into a _CliFailure with ``code``."""
+    try:
+        yield
+    except errors as exc:
+        raise _CliFailure(code, f"{prefix}{exc}") from None
 
 
 def _read(path: str) -> str:
@@ -46,33 +53,28 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _render(output: str, fmt: str, *result) -> str:
-    try:
+    with _exit_on(ValueError, EXIT_COMPUTE, f"{output}: "):    # NaN or inf in JSON
         return report.render(output, fmt, *result)
-    except ValueError as exc:       # NaN or infinity refused by the JSON writer
-        raise _CliFailure(EXIT_COMPUTE, f"{output}: {exc}") from None
 
 
 def _load_events(paths):
-    from .dataset import parse_event
-
     events = []
     for path in paths:
         text = _read(path)
-        try:
+        with _exit_on(ParseError, EXIT_PARSE, f"{path}: "):
             events.append(parse_event(text))
-        except ParseError as exc:
-            raise _CliFailure(EXIT_PARSE, f"{path}: {exc}") from None
     return events
 
 
 def _clean_all(events, lane_policy: str, threshold: float):
+    from .diagnostics import clean_and_refit
+    from .model import FitError
+
     out = []
     for ds in events:
         pairs, warns = usable_pairs(ds, lane_policy)
-        try:
+        with _exit_on(FitError, EXIT_COMPUTE, f"{ds.label}: "):
             cleaned = clean_and_refit(pairs, threshold, warnings=warns)
-        except FitError as exc:
-            raise _CliFailure(EXIT_COMPUTE, f"{ds.label}: {exc}") from None
         out.append((ds, pairs, cleaned))
     return out
 
@@ -86,42 +88,45 @@ def cmd_fit(args) -> int:
 
 
 def cmd_meta(args) -> int:
+    from . import meta
+
     if args.summary:
-        try:
-            summaries = read_summaries(_read(args.summary))
-        except MetaError as exc:
-            raise _CliFailure(EXIT_PARSE, f"{args.summary}: {exc}") from None
+        with _exit_on(meta.MetaError, EXIT_PARSE, f"{args.summary}: "):
+            summaries = meta.read_summaries(_read(args.summary))
     elif args.files:
         cleaned = _clean_all(_load_events(args.files), args.lane_policy, args.threshold)
-        summaries = [EventSummary(ds.label, c.fit.d, c.fit.se_d, c.fit.n)
-                     for ds, _, c in cleaned]
+        with _exit_on(meta.MetaError, EXIT_COMPUTE):
+            summaries = [meta.EventSummary(ds.label, c.fit.d, c.fit.se_d, c.fit.n)
+                         for ds, _, c in cleaned]
     else:
         raise _CliFailure(EXIT_PARSE, "meta needs event files or --summary")
-    try:
-        result = combine(summaries)
-    except MetaError as exc:
-        raise _CliFailure(EXIT_COMPUTE, str(exc)) from None
+    with _exit_on(meta.MetaError, EXIT_COMPUTE):
+        result = meta.combine(summaries)
     contrast = None
     if args.split_half:
         if args.summary:
             raise _CliFailure(EXIT_PARSE, "--split-half needs raw event files")
-        contrast = split_half((ds.label, c.pairs_clean) for ds, _, c in cleaned)
+        with _exit_on(meta.MetaError, EXIT_COMPUTE):
+            contrast = meta.split_half((ds.label, c.pairs_clean) for ds, _, c in cleaned)
     _emit(_render("meta", args.format, summaries, result, contrast), args.out)
     return EXIT_OK
 
 
 def cmd_speculate(args) -> int:
+    from . import counterfactual
+
     text_in = _read(args.file)
-    try:
+    with _exit_on(ParseError, EXIT_PARSE, f"{args.file}: "):
         label, entries = counterfactual.parse_olympic(text_in)
-    except ParseError as exc:
-        raise _CliFailure(EXIT_PARSE, f"{args.file}: {exc}") from None
     spec = counterfactual.speculate(entries, args.d)
     _emit(_render("speculate", args.format, label, entries, spec), args.out)
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
+    from .diagnostics import adjusted_differences, validate_model
+    from .model import FitError
+
     try:
         bandwidth = "silverman" if args.bandwidth == "silverman" else float(args.bandwidth)
     except ValueError:
@@ -130,35 +135,35 @@ def cmd_validate(args) -> int:
     events = _load_events([args.file])
     cleaned = _clean_all(events, args.lane_policy, args.threshold)
     ds, _, c = cleaned[0]
-    try:
+    with _exit_on(ValueError, EXIT_COMPUTE, f"{ds.label}: "):
         rep = validate_model(c.pairs_clean, c.fit, bandwidth)
-    except ValueError as exc:
-        raise _CliFailure(EXIT_COMPUTE, f"{ds.label}: {exc}") from None
     if args.kde_prefix:
         _emit(_render("kde", "csv", rep.kde_diff), f"{args.kde_prefix}_diff.csv")
         _emit(_render("kde", "csv", rep.kde_ave), f"{args.kde_prefix}_ave.csv")
     if args.adjusted_out:
-        ad = adjusted_differences(c.pairs_clean)
+        with _exit_on(FitError, EXIT_COMPUTE):
+            ad = adjusted_differences(c.pairs_clean)
         _emit(_render("adjusted", args.format, ds.label, ad), args.adjusted_out)
     _emit(_render("validate", args.format, ds.label, rep), args.out)
     return EXIT_OK
 
 
 def cmd_power(args) -> int:
-    try:
-        spec = power_plan(args.sigma, args.se, args.d, args.alpha)
-    except MetaError as exc:
-        raise _CliFailure(EXIT_COMPUTE, str(exc)) from None
+    from . import meta
+
+    with _exit_on(meta.MetaError, EXIT_COMPUTE):
+        spec = meta.power_plan(args.sigma, args.se, args.d, args.alpha)
     _emit(_render("power", args.format, spec), args.out)
     return EXIT_OK
 
 
 def cmd_mc(args) -> int:
-    try:
-        rep = mc_calibration(n=args.n, reps=args.reps, seed=args.seed,
-                             d=args.d, sigma=args.sigma, kappa=args.kappa)
-    except ValueError as exc:
-        raise _CliFailure(EXIT_COMPUTE, str(exc)) from None
+    from . import simulate
+    from .model import FitError
+
+    with _exit_on((ValueError, FitError), EXIT_COMPUTE):
+        rep = simulate.mc_calibration(n=args.n, reps=args.reps, seed=args.seed,
+                                      d=args.d, sigma=args.sigma, kappa=args.kappa)
     _emit(_render("mc", args.format, rep), args.out)
     return EXIT_OK
 
@@ -248,12 +253,6 @@ def main(argv: list[str] | None = None) -> int:
     except _CliFailure as exc:
         print(f"lanefair: {exc}", file=sys.stderr)
         return exc.code
-    except (ParseError, MetaError) as exc:
-        print(f"lanefair: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FitError as exc:
-        print(f"lanefair: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
 
 
 if __name__ == "__main__":

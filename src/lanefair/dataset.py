@@ -16,6 +16,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+# Outlier-screen threshold on |t|; here so the CLI can default to it without numpy.
+DEFAULT_THRESHOLD = 2.75
+
 
 class ParseError(ValueError):
     """Raised for malformed input; carries the offending line number."""

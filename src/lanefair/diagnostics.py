@@ -17,10 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import PairObs
+from .dataset import DEFAULT_THRESHOLD, PairObs
 from .model import FitResult, day_residuals, fit_ml
-
-DEFAULT_THRESHOLD = 2.75
 
 
 @dataclass(frozen=True)

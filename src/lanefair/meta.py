@@ -3,7 +3,7 @@
 Inverse-variance weighting gives the optimal fixed-effects combination;
 a moment estimator quantifies how much the true per-event difference
 wanders between events, and a split-half contrast compares the top half
-of each field with the rest.
+of each field with the rest.  Power planning loads neither numpy nor the fitter.
 """
 
 from __future__ import annotations
@@ -13,10 +13,7 @@ from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .dataset import PairObs
-from .model import FitError, fit_ml
 
 _NORMAL = NormalDist()
 
@@ -65,6 +62,8 @@ def combine(summaries: Sequence[EventSummary]) -> MetaResult:
     between-event spread is reported as zero.
     Raises MetaError when a sum or the spread overflows.
     """
+    import numpy as np
+
     if not summaries:
         raise MetaError("no event summaries to combine")
     d = np.array([s.d for s in summaries])
@@ -94,6 +93,8 @@ def heterogeneity(summaries: Sequence[EventSummary], grand_d: float) -> float:
     its excess over that, scaled by A2 - A4/A2 with A_q = sum se_j^{-q},
     estimates omega0^2.  Truncated at zero.
     """
+    import numpy as np
+
     if len(summaries) < 2:
         raise MetaError("heterogeneity needs at least 2 events")
     d = np.array([s.d for s in summaries])
@@ -120,6 +121,8 @@ def cross_group_correlation(a: Sequence[EventSummary], b: Sequence[EventSummary]
     """Pearson correlation of two aligned per-event estimate sequences."""
     if len(a) != len(b) or len(a) < 3:
         raise MetaError("need two equally long lists with at least 3 events")
+    import numpy as np
+
     for sa, sb in zip(a, b):
         if sa.label != sb.label:
             raise MetaError(f"label mismatch: {sa.label!r} vs {sb.label!r}")
@@ -179,6 +182,8 @@ def split_half(events: Iterable[tuple[str, Sequence[PairObs]]],
     skaters form one group and the remainder the other.  Per-event
     contrasts d_best - d_rest are combined by inverse variance.
     """
+    from .model import FitError, fit_ml
+
     entries: list[SplitEntry] = []
     warnings: list[str] = []
     for label, pairs in events:
@@ -210,6 +215,8 @@ def split_half(events: Iterable[tuple[str, Sequence[PairObs]]],
 def summaries_from_events(cleaned: Iterable[tuple[str, Sequence[PairObs]]],
                           ) -> list[EventSummary]:
     """Fit each cleaned event and collect (d, se) summaries."""
+    from .model import fit_ml
+
     out = []
     for label, pairs in cleaned:
         fit = fit_ml(pairs)

@@ -234,13 +234,16 @@ def fit_ml(pairs: Sequence[PairObs], constraint: str = "free_d",
             raise DegenerateDesignError(
                 "all skaters started in the same lane; d is not identifiable")
 
-    m = build_moments(pairs, with_lane)
     try:
-        u = _slope_profile(m.A, _AVE_NUISANCE)
-        v = _slope_profile(m.D, _DIFF_NUISANCE[m.p])
-        roots = np.roots(np.polyder(np.polymul(u, v)))
+        with np.errstate(over="raise", invalid="raise"):
+            m = build_moments(pairs, with_lane)
+            u = _slope_profile(m.A, _AVE_NUISANCE)
+            v = _slope_profile(m.D, _DIFF_NUISANCE[m.p])
+            roots = np.roots(np.polyder(np.polymul(u, v)))
     except np.linalg.LinAlgError as exc:
         raise DegenerateDesignError(f"singular design: {exc}") from None
+    except FloatingPointError as exc:
+        raise FitError(f"the moments leave the float range ({exc})") from None
     candidates = [0.0, RHO_MAX]
     for slope in roots[roots.imag == 0.0].real:
         ave, diff = float(np.polyval(u, slope)), float(np.polyval(v, slope))

@@ -9,15 +9,17 @@ numbers that are estimates carry six significant figures (``_g``), and
 from __future__ import annotations
 
 import json
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence, TypeAlias
 
-from .counterfactual import SpeculativeList
 from .dataset import format_time
-from .diagnostics import AdjustedDiffs, CleanedFit, ValidationReport
-from .meta import MetaResult, PowerSpec, SplitContrast
-from .simulate import McReport
 
-FitRows = Sequence[tuple[str, CleanedFit, int]]     # (label, cleaned fit, usable pairs)
+if TYPE_CHECKING:       # result types only: rendering needs none of their modules
+    from .counterfactual import SpeculativeList
+    from .diagnostics import AdjustedDiffs, CleanedFit, ValidationReport
+    from .meta import MetaResult, PowerSpec, SplitContrast
+    from .simulate import McReport
+
+FitRows: TypeAlias = "Sequence[tuple[str, CleanedFit, int]]"  # (label, fit, usable pairs)
 
 
 def _g(x: float) -> float:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import PairObs
+from .dataset import DEFAULT_THRESHOLD, PairObs
 from .model import fit_ml
 
 
@@ -77,7 +77,7 @@ def mc_calibration(n: int = 30, reps: int = 2000, seed: int = 7,
 
 
 def null_flag_rates(events: int = 200, n: int = 250, seed: int = 11,
-                    threshold: float = 2.75, sigma: float = 0.25,
+                    threshold: float = DEFAULT_THRESHOLD, sigma: float = 0.25,
                     kappa: float = 0.30) -> dict[str, float]:
     """Empirical flag rates of the outlier statistics under the null model."""
     from .diagnostics import outlier_scan
@@ -95,6 +95,6 @@ def null_flag_rates(events: int = 200, n: int = 250, seed: int = 11,
     return {k: v / total for k, v in counts.items()} | {"runs": float(total)}
 
 
-def expected_flag_rate(threshold: float = 2.75) -> float:
+def expected_flag_rate(threshold: float = DEFAULT_THRESHOLD) -> float:
     """Two-sided standard-normal tail mass at the threshold."""
     return math.erfc(threshold / math.sqrt(2.0))

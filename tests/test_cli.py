@@ -4,6 +4,9 @@ import dataclasses
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -143,6 +146,16 @@ def test_meta_requires_input(capsys):
     assert code == 4 and "needs" in err
 
 
+def test_meta_split_half_of_a_small_field_is_compute_error(capsys, tmp_path):
+    small = tmp_path / "small.csv"
+    small.write_text("".join((DATA / "swc1994.csv").read_text().splitlines(True)[:10]))
+    code, out, _ = run(capsys, "meta", str(small))
+    assert code == 0
+    code, out, err = run(capsys, "meta", str(small), "--split-half")
+    assert code == 5 and out == ""
+    assert err == "lanefair: no event could be split\n"
+
+
 def test_speculate_csv_and_schema(capsys):
     code, out, _ = run(capsys, "speculate", str(DATA / "oly1994.csv"),
                        "--d", "0.05", "--format", "json")
@@ -228,11 +241,13 @@ def test_mc_needs_two_replicates(capsys):
 
 
 # Inputs whose result leaves the float range: a summary row's weight 1/se^2,
-# a weighted sum, a run count and a variance bound that underflows to zero.
+# a weighted sum, a run count, a variance bound that underflows to zero and
+# moments that overflow.
 TINY_SE = "label,d,se\nA,0.05,1e-200\nB,0.04,0.02\n"
 HUGE_D = "label,d,se\nA,1e308,0.02\nB,1e308,0.02\n"
 OUT_OF_RANGE = {
     "mc-sigma-underflow": (("mc", "--reps", "3", "--sigma", "1e-200"), 5),
+    "mc-sigma-overflow": (("mc", "--reps", "3", "--sigma", "1e200"), 5),
     "meta-se-tiny": (("meta", "--summary", TINY_SE), 4),
     "meta-d-overflow": (("meta", "--summary", HUGE_D), 5),
     "power-overflow": (("power", "--sigma", "1e200", "--se", "1e-200"), 5),
@@ -266,10 +281,10 @@ def test_unusable_arguments_are_compute_errors(capsys, tmp_path, argv, expected)
 
 
 def test_non_finite_json_is_compute_error(capsys, monkeypatch):
-    from lanefair import cli, simulate
+    from lanefair import simulate
 
     report = simulate.mc_calibration(n=6, reps=3)
-    monkeypatch.setattr(cli, "mc_calibration",
+    monkeypatch.setattr(simulate, "mc_calibration",
                         lambda **_: dataclasses.replace(report, var_ratio=math.inf))
     code, out, err = run(capsys, "mc", "--format", "json")
     assert code == 5 and out == ""
@@ -301,3 +316,37 @@ def test_byte_order_mark_is_ignored(capsys, tmp_path):
     code, out, err = run(capsys, "fit", str(bom))
     assert code == 0 and not err
     assert out == expected
+
+
+
+# Modules that only the estimators need; the package import and the integer
+# and closed-form subcommands must not load them.
+ESTIMATION_MODULES = ("numpy", "lanefair.model", "lanefair.diagnostics")
+OLYMPIC = str(DATA / "oly1994.csv")
+
+
+@pytest.mark.parametrize("statement", [
+    "import lanefair",
+    f"from lanefair.cli import main; assert main(['speculate', {OLYMPIC!r}]) == 0",
+    "from lanefair.cli import main; assert main(['power', '--sigma', '1', '--se', '0.1']) == 0",
+], ids=["import", "speculate", "power"])
+def test_light_calls_load_no_numpy(statement):
+    probe = (f"{statement}\nimport sys\n"
+             f"print(sorted(set({ESTIMATION_MODULES!r}) & set(sys.modules)))")
+    path = [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_package_names_are_their_home_modules_objects():
+    import lanefair
+
+    assert len(lanefair.__all__) == len(set(lanefair.__all__)) == 51
+    for name in lanefair.__all__:
+        obj = getattr(lanefair, name)
+        assert obj is getattr(importlib.import_module(obj.__module__), name), name
+    with pytest.raises(AttributeError):
+        lanefair.no_such_name
