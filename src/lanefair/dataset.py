@@ -14,6 +14,7 @@ exact; estimation code converts to float.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
 
 # Outlier-screen threshold on |t|; here so the CLI can default to it without numpy.
@@ -100,10 +101,9 @@ class EventDataset:
     skaters: list[SkaterPair] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        names = [s.name for s in self.skaters]
-        dupes = {n for n in names if names.count(n) > 1}
+        dupes = sorted(n for n, k in Counter(s.name for s in self.skaters).items() if k > 1)
         if dupes:
-            raise ParseError(f"duplicate skater names: {sorted(dupes)}")
+            raise ParseError(f"duplicate skater names: {dupes}")
 
     @property
     def label(self) -> str:
@@ -135,7 +135,7 @@ def _parse_time(token: str, line: int) -> int | None:
     if not token:
         return None
     whole, dot, frac = token.partition(".")
-    if not dot or len(frac) != 2 or not whole.isdigit() or not frac.isdigit():
+    if not (dot and len(frac) == 2 and token.isascii() and whole.isdigit() and frac.isdigit()):
         raise ParseError(f"time {token!r} is not a centisecond multiple", line)
     return int(whole) * 100 + int(frac)
 

@@ -20,6 +20,8 @@ import numpy as np
 from .dataset import DEFAULT_THRESHOLD, PairObs
 from .model import FitResult, day_residuals, fit_ml
 
+_KDE_BLOCK = 16384      # kernel terms per block of grid rows, which bounds the memory
+
 
 @dataclass(frozen=True)
 class OutlierRecord:
@@ -117,8 +119,12 @@ def gaussian_kde_curve(values: Sequence[float], bandwidth: float | str = "silver
     if not 0.0 < h < math.inf:
         raise ValueError(f"bandwidth must be positive and finite, got {h}")
     grid = np.linspace(v.min() - 3.0 * h, v.max() + 3.0 * h, gridsize)
-    z = (grid[:, None] - v[None, :]) / h
-    density = np.exp(-0.5 * z * z).sum(axis=1) / (v.size * h * math.sqrt(2.0 * math.pi))
+    density = np.empty(gridsize)
+    rows = max(1, _KDE_BLOCK // v.size)
+    for lo in range(0, gridsize, rows):     # each row's sum is the same, block or whole
+        z = np.subtract.outer(grid[lo:lo + rows], v) / h
+        np.exp(-0.5 * z * z).sum(axis=1, out=density[lo:lo + rows])
+    density /= v.size * h * math.sqrt(2.0 * math.pi)
     return KdeCurve(grid, density, h)
 
 

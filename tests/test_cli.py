@@ -72,6 +72,21 @@ def test_fit_malformed_file_is_parse_error(capsys, tmp_path):
     assert "lane token" in err
 
 
+@pytest.mark.parametrize("command,source,time,bad_time", [
+    ("fit", "swc1994.csv", ",9.70,", ",9.7\u00b2,"),
+    ("speculate", "oly1994.csv", ",36.39,", ",36.3\u00b2,"),
+], ids=["fit", "speculate"])
+def test_time_with_a_non_ascii_digit_is_parse_error(capsys, tmp_path, command, source,
+                                                    time, bad_time):
+    bad = tmp_path / source
+    bad.write_text((DATA / source).read_text(encoding="utf-8").replace(time, bad_time, 1),
+                   encoding="utf-8")
+    code, out, err = run(capsys, command, str(bad))
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1 and err.startswith("lanefair: ")
+    assert "centisecond" in err
+
+
 def test_fit_degenerate_design_is_compute_error(capsys, tmp_path):
     rows = ["#event,V,1990"]
     for i in range(6):

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
-import pytest
+import sys
 
-from lanefair.dataset import (EventDataset, Lane, ParseError, RunStatus,
-                              lane_indicator, load_event, parse_event,
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from lanefair.dataset import (EventDataset, Lane, ParseError, Run, RunStatus,
+                              SkaterPair, lane_indicator, load_event, parse_event,
                               serialize_event, usable_pairs)
 
 from conftest import DATA
@@ -39,6 +43,9 @@ def test_inner_start_day1_gives_negative_w():
     ("X,o,,35.96,ok,i,9.75,35.76,ok", "both times"),
     ("X,o,9.82,35.96,fell,i,9.75,35.76,ok", "cannot carry"),
     ("X,o,35.96,9.82,ok,i,9.75,35.76,ok", "exceed"),
+    ("X,o,9.7\u00b2,35.96,ok,i,9.75,35.76,ok", "centisecond"),
+    ("X,o,\u0669.78,35.96,ok,i,9.75,35.76,ok", "centisecond"),
+    ("X,o,9.82,\uff13\uff15.96,ok,i,9.75,35.76,ok", "centisecond"),
 ])
 def test_malformed_rows_report_line_two(row, fragment):
     with pytest.raises(ParseError) as err:
@@ -53,6 +60,15 @@ def test_duplicate_names_rejected():
             "A,i,9.82,35.96,ok,o,9.75,35.76,ok\n")
     with pytest.raises(ParseError, match="duplicate"):
         parse_event(text)
+
+
+def test_duplicates_listed_once_each_in_a_large_field():
+    rows = [f"S{i},o,9.82,35.96,ok,i,9.75,35.76,ok" for i in range(20_000)]
+    for i, name in ((17, "S3"), (9_000, "S12"), (19_999, "S12"), (4, "S19998")):
+        rows[i] = name + rows[i][rows[i].index(","):]
+    with pytest.raises(ParseError) as err:
+        parse_event("#event,V,1990\n" + "\n".join(rows) + "\n")
+    assert str(err.value) == "duplicate skater names: ['S12', 'S19998', 'S3']"
 
 
 def test_missing_header_rejected():
@@ -130,3 +146,52 @@ def test_statuses_without_times(events):
     assert not yen.usable
     boucher = next(s for s in events[1988].skaters if s.name == "G.Boucher")
     assert boucher.day1.status is RunStatus.DISQUALIFIED
+
+
+# Canonical field text: no comma or line break, nothing for strip() to remove.
+FIELD = st.text(st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp"),
+                              exclude_characters=","), max_size=8).map(str.strip)
+CENTISECONDS = st.integers(0, 10**6)
+NON_ASCII_DIGITS = [c for c in map(chr, range(128, sys.maxunicode + 1)) if c.isdigit()]
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def runs(draw):
+    lane, status = draw(st.sampled_from(Lane)), draw(st.sampled_from(RunStatus))
+    if status is RunStatus.OK:
+        t100 = draw(CENTISECONDS)
+        return Run(lane, t100, draw(st.integers(t100 + 1, 2 * 10**6)), status)
+    return Run(lane, draw(st.none() | CENTISECONDS), None, status)
+
+
+@st.composite
+def canonical_events(draw):
+    names = draw(st.lists(FIELD.filter(bool), min_size=1, max_size=6, unique=True))
+    skaters = [SkaterPair(name, draw(runs()), draw(runs()), draw(FIELD)) for name in names]
+    return EventDataset(draw(FIELD), draw(st.integers(-10**4, 10**4)), skaters)
+
+
+@PROPERTY
+@given(canonical_events())
+def test_canonical_events_round_trip(ds):
+    text = serialize_event(ds)
+    assert parse_event(text) == ds
+    assert serialize_event(parse_event(text)) == text
+
+
+@PROPERTY
+@given(canonical_events(), st.data())
+def test_time_with_a_non_ascii_digit_is_rejected(ds, data):
+    lines = serialize_event(ds).splitlines()
+    times = [(row, col) for row in range(1, len(lines)) for col in (2, 3, 6, 7)
+             if lines[row].split(",")[col]]
+    assume(times)
+    row, col = data.draw(st.sampled_from(times))
+    fields = lines[row].split(",")
+    token = fields[col]
+    at = data.draw(st.sampled_from([i for i, c in enumerate(token) if c != "."]))
+    fields[col] = token[:at] + data.draw(st.sampled_from(NON_ASCII_DIGITS)) + token[at + 1:]
+    lines[row] = ",".join(fields)
+    with pytest.raises(ParseError, match=f"line {row + 1}: time"):
+        parse_event("\n".join(lines) + "\n")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -174,6 +175,22 @@ def test_kde_fixed_bandwidth():
     assert curve.bandwidth == 0.5
     with pytest.raises(ValueError):
         gaussian_kde_curve(v, bandwidth=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 28, 250, 2500, 20_000])
+@pytest.mark.parametrize("bandwidth", ["silverman", 0.4])
+def test_kde_equals_one_shot_evaluation(n, bandwidth):
+    """The blocked evaluation gives the same bits as one n-by-grid array."""
+    v = np.random.default_rng(n).standard_normal(n) * 0.3 + 1.0
+    curve = gaussian_kde_curve(v, bandwidth)
+    h = (1.06 * float(np.std(v, ddof=1)) * n ** (-0.2) if bandwidth == "silverman"
+         else bandwidth)
+    grid = np.linspace(v.min() - 3.0 * h, v.max() + 3.0 * h, 512)
+    z = (grid[:, None] - v[None, :]) / h
+    reference = np.exp(-0.5 * z * z).sum(axis=1) / (n * h * math.sqrt(2.0 * math.pi))
+    assert curve.bandwidth == h
+    assert np.array_equal(curve.grid, grid)
+    assert np.array_equal(curve.density, reference)
 
 
 def test_adjusted_differences_counts(pipeline):
