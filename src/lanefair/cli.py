@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import report
-from .dataset import DEFAULT_THRESHOLD, ParseError, parse_event, usable_pairs
+from .dataset import DEFAULT_THRESHOLD, ParseError, parse_event, parse_olympic, usable_pairs
 
 EXIT_OK = 0
 EXIT_IO = 3
@@ -113,12 +113,12 @@ def cmd_meta(args) -> int:
 
 
 def cmd_speculate(args) -> int:
-    from . import counterfactual
+    from .counterfactual import speculate
 
     text_in = _read(args.file)
     with _exit_on(ParseError, EXIT_PARSE, f"{args.file}: "):
-        label, entries = counterfactual.parse_olympic(text_in)
-    spec = counterfactual.speculate(entries, args.d)
+        label, entries = parse_olympic(text_in)
+    spec = speculate(entries, args.d)
     _emit(_render("speculate", args.format, label, entries, spec), args.out)
     return EXIT_OK
 

@@ -11,20 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dataset import (_LANE_TOKENS, _STATUS_TOKENS, Lane, ParseError, RunStatus,
-                      _parse_time, format_time)
-
-
-@dataclass(frozen=True)
-class OlympicEntry:
-    name: str
-    lane: Lane
-    time_cs: int | None
-    status: RunStatus
-
-    @property
-    def finished(self) -> bool:
-        return self.status is RunStatus.OK and self.time_cs is not None
+from .dataset import Lane, OlympicEntry, format_time
 
 
 @dataclass(frozen=True)
@@ -44,67 +31,28 @@ class SpeculativeList:
     d_cs: int
 
 
-def parse_olympic(text: str) -> tuple[str, list[OlympicEntry]]:
-    """Parse an Olympic single-run list: ``name,lane,time,status`` rows.
-
-    An optional ``#event,<venue>,<year>`` header is allowed; its venue and
-    year become the returned label.
-    """
-    lines = text.splitlines()
-    label = "olympic 500 m"
-    start = 0
-    if lines and lines[0].startswith("#event,"):
-        head = lines[0].split(",")
-        label = " ".join(head[1:3]).strip()
-        start = 1
-    entries = []
-    for lineno, raw in enumerate(lines[start:], start=start + 1):
-        if not raw.strip():
-            continue
-        fields = [f.strip() for f in raw.split(",")]
-        if len(fields) != 4:
-            raise ParseError("expected 'name,lane,time,status'", lineno)
-        name, lane_tok, time_tok, status_tok = fields
-        lane = _LANE_TOKENS.get(lane_tok)
-        if lane is None:
-            raise ParseError(f"lane token {lane_tok!r} outside {{i, o}}", lineno)
-        status = _STATUS_TOKENS.get(status_tok)
-        if status is None:
-            raise ParseError(f"unknown status {status_tok!r}", lineno)
-        time_cs = _parse_time(time_tok, lineno)
-        if status is RunStatus.OK and time_cs is None:
-            raise ParseError("finisher without a time", lineno)
-        if status is not RunStatus.OK and time_cs is not None:
-            raise ParseError("non-finisher with a time", lineno)
-        entries.append(OlympicEntry(name, lane, time_cs, status))
-    return label, entries
+def competition_ranks(times: Sequence[int]) -> list[int]:
+    """Ranks of times listed in finishing order: a time equal to the one
+    before it shares that one's rank, any other takes its position."""
+    ranks: list[int] = []
+    for pos, t in enumerate(times):
+        ranks.append(ranks[-1] if pos and t == times[pos - 1] else pos + 1)
+    return ranks
 
 
 def speculate(entries: Sequence[OlympicEntry], d: float) -> SpeculativeList:
     """Re-rank the list as if every lane draw had gone the other way.
 
     d is rounded to the nearest centisecond before applying.  Ties share a
-    rank (competition ranking); the order within a tie follows the input
+    rank (``competition_ranks``); the order within a tie follows the input
     list.  Non-finishers are carried through unranked at the end.
     """
     d_cs = round(d * 100)
-    adjusted = []
-    excluded = []
-    for idx, e in enumerate(entries):
-        if e.finished:
-            shift = d_cs if e.lane is Lane.INNER_START else -d_cs
-            adjusted.append((e.time_cs + shift, idx, e.name))
-        else:
-            excluded.append(e.name)
-    adjusted.sort(key=lambda t: (t[0], t[1]))
-    out = []
-    prev_time = None
-    prev_rank = 0
-    for pos, (t, _, name) in enumerate(adjusted, start=1):
-        rank = prev_rank if t == prev_time else pos
-        out.append(SpeculativeEntry(rank, name, t))
-        prev_time, prev_rank = t, rank
-    out.extend(SpeculativeEntry(None, name, None) for name in excluded)
+    shifted = sorted((e.time_cs + (d_cs if e.lane is Lane.INNER_START else -d_cs), i, e.name)
+                     for i, e in enumerate(entries) if e.finished)
+    ranks = competition_ranks([t for t, _, _ in shifted])
+    out = [SpeculativeEntry(r, name, t) for r, (t, _, name) in zip(ranks, shifted)]
+    out += [SpeculativeEntry(None, e.name, None) for e in entries if not e.finished]
     return SpeculativeList(tuple(out), d_cs)
 
 

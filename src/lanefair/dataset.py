@@ -1,14 +1,16 @@
-"""Parsing, validation and filtering of two-day championship result files.
+"""Parsing, validation and filtering of the two result-file formats.
 
-File format is a line-oriented CSV, one skater per line::
+A two-day championship file is a line-oriented CSV, one skater per line::
 
     #event,<venue>,<year>
     name,lane1,t100_1,t500_1,status1,lane2,t100_2,t500_2,status2[,note]
 
-with lane in {i, o}, times given in seconds with exactly two fractional
-digits (or empty when missing), and status one of ok, fell, dq, dnf, dns,
-wd.  Times are stored internally as integer centiseconds so ingestion is
-exact; estimation code converts to float.
+An Olympic single-run list has ``name,lane,time,status`` rows under the same
+header, which it may omit.  The year is an integer in canonical decimal form,
+lane is in {i, o}, times are seconds with exactly two fractional digits (or
+empty when missing), and status is one of ok, fell, dq, dnf, dns, wd.  Times
+are stored as integer centiseconds so ingestion is exact; estimation code
+converts to float.
 """
 
 from __future__ import annotations
@@ -126,8 +128,47 @@ class PairObs:
     w: float
 
 
-_STATUS_TOKENS = {s.value: s for s in RunStatus}
-_LANE_TOKENS = {l.value: l for l in Lane}
+@dataclass(frozen=True)
+class OlympicEntry:
+    name: str
+    lane: Lane
+    time_cs: int | None
+    status: RunStatus
+
+    @property
+    def finished(self) -> bool:
+        return self.status is RunStatus.OK and self.time_cs is not None
+
+
+_LANES = {l.value: l for l in Lane}
+_STATUSES = {s.value: s for s in RunStatus}
+
+
+def _parse_header(lines: list[str]) -> tuple[str, int] | None:
+    """Venue and year of the ``#event,<venue>,<year>`` header, None without
+    one; only a header that ``serialize_event`` writes back is accepted."""
+    if not (lines and lines[0].startswith("#event,")):
+        return None
+    head = lines[0].split(",")
+    if len(head) != 3:
+        raise ParseError("header must be '#event,<venue>,<year>'", 1)
+    try:
+        year = int(head[2])
+    except ValueError:
+        year = None
+    if year is None or str(year) != head[2]:
+        raise ParseError(f"year {head[2]!r} is not an integer", 1)
+    return head[1], year
+
+
+def _lane_status(lane_tok: str, status_tok: str, line: int) -> tuple[Lane, RunStatus]:
+    lane = _LANES.get(lane_tok.strip())
+    if lane is None:
+        raise ParseError(f"lane token {lane_tok!r} outside {{i, o}}", line)
+    status = _STATUSES.get(status_tok.strip())
+    if status is None:
+        raise ParseError(f"unknown status {status_tok!r}", line)
+    return lane, status
 
 
 def _parse_time(token: str, line: int) -> int | None:
@@ -147,12 +188,7 @@ def format_time(cs: int | None) -> str:
 
 def _parse_run(fields: list[str], line: int) -> Run:
     lane_tok, t100_tok, t500_tok, status_tok = fields
-    lane = _LANE_TOKENS.get(lane_tok.strip())
-    if lane is None:
-        raise ParseError(f"lane token {lane_tok!r} outside {{i, o}}", line)
-    status = _STATUS_TOKENS.get(status_tok.strip())
-    if status is None:
-        raise ParseError(f"unknown status {status_tok!r}", line)
+    lane, status = _lane_status(lane_tok, status_tok, line)
     t100 = _parse_time(t100_tok, line)
     t500 = _parse_time(t500_tok, line)
     if status is RunStatus.OK:
@@ -171,16 +207,9 @@ def parse_event(text: str) -> EventDataset:
     Row order, lanes, statuses and times are preserved exactly.
     """
     lines = text.splitlines()
-    if not lines or not lines[0].startswith("#event,"):
+    header = _parse_header(lines)
+    if header is None:
         raise ParseError("missing '#event,<venue>,<year>' header", 1)
-    header = lines[0].split(",")
-    if len(header) != 3:
-        raise ParseError("header must be '#event,<venue>,<year>'", 1)
-    try:
-        year = int(header[2])
-    except ValueError:
-        raise ParseError(f"year {header[2]!r} is not an integer", 1) from None
-
     skaters = []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -196,12 +225,7 @@ def parse_event(text: str) -> EventDataset:
         day2 = _parse_run(fields[5:9], lineno)
         note = fields[9].strip() if len(fields) == 10 else ""
         skaters.append(SkaterPair(name, day1, day2, note))
-    try:
-        return EventDataset(header[1], year, skaters)
-    except ParseError:
-        raise
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return EventDataset(*header, skaters)
 
 
 def serialize_event(ds: EventDataset) -> str:
@@ -216,6 +240,34 @@ def serialize_event(ds: EventDataset) -> str:
             row.append(s.note)
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def parse_olympic(text: str) -> tuple[str, list[OlympicEntry]]:
+    """Parse an Olympic single-run list: ``name,lane,time,status`` rows.
+
+    An optional ``#event,<venue>,<year>`` header is allowed; its venue and
+    year become the returned label.
+    """
+    lines = text.splitlines()
+    header = _parse_header(lines)
+    label = "olympic 500 m" if header is None else f"{header[0]} {header[1]}".strip()
+    start = 0 if header is None else 1
+    entries = []
+    for lineno, raw in enumerate(lines[start:], start=start + 1):
+        if not raw.strip():
+            continue
+        fields = [f.strip() for f in raw.split(",")]
+        if len(fields) != 4:
+            raise ParseError("expected 'name,lane,time,status'", lineno)
+        name, lane_tok, time_tok, status_tok = fields
+        lane, status = _lane_status(lane_tok, status_tok, lineno)
+        time_cs = _parse_time(time_tok, lineno)
+        if status is RunStatus.OK and time_cs is None:
+            raise ParseError("finisher without a time", lineno)
+        if status is not RunStatus.OK and time_cs is not None:
+            raise ParseError("non-finisher with a time", lineno)
+        entries.append(OlympicEntry(name, lane, time_cs, status))
+    return label, entries
 
 
 def lane_indicator(pair: SkaterPair) -> float:

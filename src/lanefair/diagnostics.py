@@ -20,6 +20,7 @@ import numpy as np
 from .dataset import DEFAULT_THRESHOLD, PairObs
 from .model import FitResult, day_residuals, fit_ml
 
+_KDE_GRIDSIZE = 512
 _KDE_BLOCK = 16384      # kernel terms per block of grid rows, which bounds the memory
 
 
@@ -77,6 +78,7 @@ class CleanedFit:
     removed: tuple[str, ...]
     pairs_clean: tuple[PairObs, ...]
     fit: FitResult
+    warnings: tuple[str, ...]   # the event's data warnings, passed through
 
 
 def clean_and_refit(pairs: Sequence[PairObs], threshold: float = DEFAULT_THRESHOLD,
@@ -87,12 +89,12 @@ def clean_and_refit(pairs: Sequence[PairObs], threshold: float = DEFAULT_THRESHO
     removal would drag in borderline cases whose statistics only exceed
     the threshold once the variance estimate tightens.
     """
-    first = fit_ml(pairs, warnings=warnings)
+    first = fit_ml(pairs)
     report = outlier_scan(pairs, first, threshold)
     removed = set(report.flagged_names)
     kept = tuple(p for p in pairs if p.name not in removed)
-    final = fit_ml(kept, warnings=warnings) if removed else first
-    return CleanedFit(first, report, tuple(report.flagged_names), kept, final)
+    final = fit_ml(kept) if removed else first
+    return CleanedFit(first, report, tuple(report.flagged_names), kept, final, tuple(warnings))
 
 
 @dataclass(frozen=True)
@@ -102,8 +104,7 @@ class KdeCurve:
     bandwidth: float
 
 
-def gaussian_kde_curve(values: Sequence[float], bandwidth: float | str = "silverman",
-                       gridsize: int = 512) -> KdeCurve:
+def gaussian_kde_curve(values: Sequence[float], bandwidth: float | str = "silverman") -> KdeCurve:
     """Gaussian-kernel density on a regular grid spanning the data +-3h.
 
     The default bandwidth is 1.06 s n^(-1/5) with s the sample standard
@@ -118,10 +119,10 @@ def gaussian_kde_curve(values: Sequence[float], bandwidth: float | str = "silver
         h = float(bandwidth)
     if not 0.0 < h < math.inf:
         raise ValueError(f"bandwidth must be positive and finite, got {h}")
-    grid = np.linspace(v.min() - 3.0 * h, v.max() + 3.0 * h, gridsize)
-    density = np.empty(gridsize)
+    grid = np.linspace(v.min() - 3.0 * h, v.max() + 3.0 * h, _KDE_GRIDSIZE)
+    density = np.empty(_KDE_GRIDSIZE)
     rows = max(1, _KDE_BLOCK // v.size)
-    for lo in range(0, gridsize, rows):     # each row's sum is the same, block or whole
+    for lo in range(0, _KDE_GRIDSIZE, rows):     # each row's sum is the same, block or whole
         z = np.subtract.outer(grid[lo:lo + rows], v) / h
         np.exp(-0.5 * z * z).sum(axis=1, out=density[lo:lo + rows])
     density /= v.size * h * math.sqrt(2.0 * math.pi)

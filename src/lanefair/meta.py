@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 from .dataset import PairObs
 
 _NORMAL = NormalDist()
+_MIN_HALF = 5            # smallest half split_half fits
 
 
 def _upper_tail(z: float) -> float:
@@ -173,8 +174,7 @@ class SplitContrast:
     warnings: tuple[str, ...]
 
 
-def split_half(events: Iterable[tuple[str, Sequence[PairObs]]],
-               min_half: int = 5) -> SplitContrast:
+def split_half(events: Iterable[tuple[str, Sequence[PairObs]]]) -> SplitContrast:
     """Best-half vs rest-half contrast of the lane difference.
 
     Each cleaned event is ranked by the skater's average finishing time
@@ -193,7 +193,7 @@ def split_half(events: Iterable[tuple[str, Sequence[PairObs]]],
         ordered = [p for _, p in ranked]
         n_best = len(ordered) // 2
         best, rest = ordered[:n_best], ordered[n_best:]
-        if min(len(best), len(rest)) < min_half:
+        if min(len(best), len(rest)) < _MIN_HALF:
             warnings.append(f"{label}: field too small to halve, skipped")
             continue
         try:

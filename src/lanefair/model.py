@@ -20,7 +20,7 @@ maximum lies at a real root of the cubic (U*V)'.  For fixed rho, beta =
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -128,10 +128,9 @@ def _residual_sums(m: MomentMatrices, beta: np.ndarray) -> tuple[float, float]:
 def day_residuals(pairs: Sequence[PairObs],
                   beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair residuals r1 = y1 - (a1 + b x1 + d w) and
-    r2 = y2 - (a2 + b x2 - d w); a 3-coefficient beta means d = 0."""
+    r2 = y2 - (a2 + b x2 - d w), for beta = (a1, a2, b, d)."""
     x1, y1, x2, y2, w = _arrays(pairs)
-    a1, a2, b = beta[:3]
-    d = beta[3] if len(beta) == 4 else 0.0
+    a1, a2, b, d = beta
     return y1 - (a1 + b * x1 + d * w), y2 - (a2 + b * x2 - d * w)
 
 
@@ -184,7 +183,6 @@ class FitResult:
     p: int
     condition_number: float
     fixed_point_residual: float
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def a1(self) -> float:
@@ -211,8 +209,7 @@ class FitResult:
         return float(self.se[3])
 
 
-def fit_ml(pairs: Sequence[PairObs], constraint: str = "free_d",
-           warnings: Sequence[str] = ()) -> FitResult:
+def fit_ml(pairs: Sequence[PairObs], constraint: str = "free_d") -> FitResult:
     """Maximum-likelihood fit with rho in [0, RHO_MAX].
 
     The profile likelihood is compared at rho = 0, at RHO_MAX and at the
@@ -277,8 +274,7 @@ def fit_ml(pairs: Sequence[PairObs], constraint: str = "free_d",
         kappa_ml=math.sqrt(sigma2_ml * shrink), kappa_un=math.sqrt(sigma2_un * shrink),
         cov_beta=np.pad(cov, (0, 4 - p)), loglik=loglik, n=n, p=p,
         condition_number=float(np.linalg.cond(mrho)),
-        fixed_point_residual=fixed_point,
-        warnings=list(warnings))
+        fixed_point_residual=fixed_point)
 
 
 @dataclass(frozen=True)

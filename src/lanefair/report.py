@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Sequence, TypeAlias
 
+from .counterfactual import SpeculativeList, competition_ranks
 from .dataset import format_time
 
 if TYPE_CHECKING:       # result types only: rendering needs none of their modules
-    from .counterfactual import SpeculativeList
     from .diagnostics import AdjustedDiffs, CleanedFit, ValidationReport
     from .meta import MetaResult, PowerSpec, SplitContrast
     from .simulate import McReport
@@ -44,7 +44,7 @@ def _fit_json(rows: FitRows) -> str:
                 "se": {"a1": _g(se[0]), "a2": _g(se[1]), "b": _g(se[2]), "d": _g(se[3])},
                 "loglik": _g(f.loglik),
                 "n": f.n,
-                "warnings": list(f.warnings),
+                "warnings": list(c.warnings),
             },
             "outliers": {
                 "threshold": c.report.threshold,
@@ -80,7 +80,7 @@ def _fit_text(rows: FitRows) -> str:
                      f"{f.se_d:>7.3f}{f.n:>4}")
         removed = ", ".join(c.removed) if c.removed else "none"
         lines.append(f"  usable pairs: {n_usable}; outliers removed: {removed}")
-        for w in f.warnings:
+        for w in c.warnings:
             lines.append(f"  warning: {w}")
     return "\n".join(lines) + "\n"
 
@@ -196,31 +196,27 @@ def _speculate_csv(label: str, entries, spec: SpeculativeList) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _rank_marks(ranks) -> list[str]:
+    """'<rank>.' where a rank first appears, '' elsewhere and when unranked."""
+    return ["" if r is None or r == prev else f"{r}." for prev, r in zip([None, *ranks], ranks)]
+
+
 def _speculate_text(label: str, entries, spec: SpeculativeList) -> str:
     """Aligned real-vs-speculative listing, one skater per line each side."""
-    real_rows = []
-    rank = 0
-    prev = None
-    for pos, e in enumerate((e for e in entries if e.finished), start=1):
-        rank = rank if e.time_cs == prev else pos
-        shown = "" if e.time_cs == prev else f"{rank}."
-        real_rows.append((shown, e.name, e.lane.value, format_time(e.time_cs)))
-        prev = e.time_cs
-    real_rows += [("", e.name, e.lane.value, e.status.value)
-                  for e in entries if not e.finished]
-    spec_rows = []
-    prev_rank = None
-    for e in spec.entries:
-        shown = "" if e.rank is None or e.rank == prev_rank else f"{e.rank}."
-        spec_rows.append((shown, e.name, e.time_text))
-        prev_rank = e.rank
-    width = max(len(r[1]) for r in real_rows)
+    finished = [e for e in entries if e.finished]
+    unranked = [e for e in entries if not e.finished]
+    real_marks = _rank_marks(competition_ranks([e.time_cs for e in finished])
+                             + [None] * len(unranked))
+    spec_marks = _rank_marks([s.rank for s in spec.entries])
+    width = max(len(e.name) for e in entries)
     lines = []
     if label:
         lines.append(label)
     lines.append(f"{'real list:':<{width + 13}}speculative list:")
-    for (rr, rn, rl, rt), (sr, sn, st) in zip(real_rows, spec_rows):
-        lines.append(f"{rr:>4} {rn:<{width}} {rl} {rt:>6}    {sr:>4} {sn:<{width}} {st:>6}")
+    for rr, e, sr, s in zip(real_marks, finished + unranked, spec_marks, spec.entries):
+        rt = format_time(e.time_cs) if e.finished else e.status.value
+        lines.append(f"{rr:>4} {e.name:<{width}} {e.lane.value} {rt:>6}"
+                     f"    {sr:>4} {s.name:<{width}} {s.time_text:>6}")
     return "\n".join(lines) + "\n"
 
 

@@ -14,15 +14,16 @@ import numpy as np
 from .dataset import DEFAULT_THRESHOLD, PairObs
 from .model import fit_ml
 
+_X_MEAN, _X_SD = 10.1, 0.2      # 100 m passing times, seconds
+
 
 def simulate_event(rng: np.random.Generator, n: int, a1: float = 17.0,
                    a2: float = 17.0, b: float = 2.0, d: float = 0.05,
-                   sigma: float = 0.25, kappa: float = 0.30,
-                   x_mean: float = 10.1, x_sd: float = 0.2) -> list[PairObs]:
+                   sigma: float = 0.25, kappa: float = 0.30) -> list[PairObs]:
     """Draw one event: normal passing times, balanced shuffled lane draw,
     shared per-skater ability effect, independent per-run noise."""
-    x1 = rng.normal(x_mean, x_sd, n)
-    x2 = rng.normal(x_mean, x_sd, n)
+    x1 = rng.normal(_X_MEAN, _X_SD, n)
+    x2 = rng.normal(_X_MEAN, _X_SD, n)
     w = np.where(rng.permutation(n) < n // 2, 0.5, -0.5)
     c = rng.normal(0.0, kappa, n)
     y1 = a1 + b * x1 + c + d * w + rng.normal(0.0, sigma, n)

@@ -22,8 +22,8 @@ from collections import Counter
 
 import numpy as np
 
-from lanefair.counterfactual import parse_olympic, round_trip, speculate
-from lanefair.dataset import PairObs
+from lanefair.counterfactual import round_trip, speculate
+from lanefair.dataset import PairObs, parse_olympic
 from lanefair.diagnostics import (adjusted_differences, clean_and_refit, outlier_scan,
                                   validate_model)
 from lanefair.meta import EventSummary, combine, cross_group_correlation, power_plan, predict_range, split_half

@@ -87,6 +87,21 @@ def test_time_with_a_non_ascii_digit_is_parse_error(capsys, tmp_path, command, s
     assert "centisecond" in err
 
 
+@pytest.mark.parametrize("command,source", [
+    ("fit", "swc1994.csv"),
+    ("speculate", "oly1994.csv"),
+], ids=["fit", "speculate"])
+def test_non_canonical_header_year_is_parse_error(capsys, tmp_path, command, source):
+    bad = tmp_path / source
+    text = (DATA / source).read_text(encoding="utf-8")
+    assert text.startswith("#event,") and ",1994\n" in text.splitlines(True)[0]
+    bad.write_text(text.replace(",1994\n", ",01994\n", 1), encoding="utf-8")
+    code, out, err = run(capsys, command, str(bad))
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1 and err.startswith("lanefair: ")
+    assert "line 1: year '01994'" in err
+
+
 def test_fit_degenerate_design_is_compute_error(capsys, tmp_path):
     rows = ["#event,V,1990"]
     for i in range(6):

@@ -5,8 +5,8 @@ from collections import Counter
 import pytest
 
 from lanefair import report
-from lanefair.counterfactual import OlympicEntry, parse_olympic, round_trip, speculate
-from lanefair.dataset import Lane, ParseError, RunStatus
+from lanefair.counterfactual import competition_ranks, round_trip, speculate
+from lanefair.dataset import Lane, OlympicEntry, ParseError, RunStatus, parse_olympic
 
 from conftest import DATA, EXPECTED
 
@@ -163,6 +163,26 @@ def test_d_rounded_to_centiseconds():
     assert [e.rank for e in spec.entries] == [1, 1]
 
 
+def test_competition_ranks_share_the_first_rank_of_a_tie():
+    assert competition_ranks([3600, 3600, 3610, 3610, 3610, 3620]) == [1, 1, 3, 3, 3, 6]
+    assert competition_ranks([]) == []
+
+
+def test_text_rendering_marks_each_rank_once_in_both_columns():
+    label, entries = parse_olympic("A,i,36.40,ok\nB,o,36.40,ok\nC,o,36.50,ok\nD,i,,dnf\n")
+    spec = speculate(entries, 0.05)
+    assert [(e.rank, e.name) for e in spec.entries] == [(1, "B"), (2, "A"), (2, "C"),
+                                                        (None, "D")]
+    assert report.render("speculate", "text", label, entries, spec).splitlines() == [
+        "olympic 500 m",
+        "real list:    speculative list:",
+        "  1. A i  36.40      1. B  36.35",
+        "     B o  36.40      2. A  36.45",
+        "  3. C o  36.50         C  36.45",
+        "     D i    dnf         D    ---",
+    ]
+
+
 def test_csv_rendering():
     label, entries = load_oly(1994)
     text = report.render("speculate", "csv", label, entries, speculate(entries, 0.05))
@@ -178,8 +198,11 @@ def test_csv_rendering():
     ("A,i,36.33,flew", "status"),
     ("A,i,,ok", "without a time"),
     ("A,i,36.33,dnf", "with a time"),
+    ("#event,Calgary\nA,i,36.33,ok", "line 1: header"),
+    ("#event,Calgary,1988,extra\nA,i,36.33,ok", "line 1: header"),
 ])
 def test_parse_olympic_errors(row, fragment):
     with pytest.raises(ParseError) as err:
         parse_olympic(f"{row}\n")
     assert fragment in str(err.value)
+

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lanefair.dataset import (EventDataset, Lane, ParseError, Run, RunStatus,
                               SkaterPair, lane_indicator, load_event, parse_event,
-                              serialize_event, usable_pairs)
+                              parse_olympic, serialize_event, usable_pairs)
 
 from conftest import DATA
 
@@ -74,6 +74,16 @@ def test_duplicates_listed_once_each_in_a_large_field():
 def test_missing_header_rejected():
     with pytest.raises(ParseError, match="header"):
         parse_event("A,o,9.82,35.96,ok,i,9.75,35.76,ok\n")
+
+
+# Years int() reads but serialize_event would write differently.
+@pytest.mark.parametrize("year", ["\uff11\uff19\uff19\uff10", "1_990", "+1990", " 1990",
+                                  "01990", "1990 ", "-0", "None", ""])
+def test_non_canonical_year_is_rejected_in_both_formats(year):
+    with pytest.raises(ParseError, match="line 1: year"):
+        parse_event(f"#event,V,{year}\nA,o,9.82,35.96,ok,i,9.75,35.76,ok\n")
+    with pytest.raises(ParseError, match="line 1: year"):
+        parse_olympic(f"#event,V,{year}\nA,i,36.33,ok\n")
 
 
 def test_note_field_preserved(events):

@@ -197,7 +197,8 @@ def test_profile_loglik_matches_direct_residuals(reference_sets):
         for with_lane in (True, False):
             m = build_moments(pairs, with_lane)
             for r in grid:
-                q1, q2, q3 = q_components(pairs, gls_beta(m, r))
+                beta = np.pad(gls_beta(m, r), (0, 4 - m.p))     # d = 0 without the lane
+                q1, q2, q3 = q_components(pairs, beta)
                 q = q1 + q2 - 2 * r * q3
                 direct = n * (0.5 * math.log1p(-r * r) - math.log(q / (2 * n)) - 1)
                 assert abs(profile_loglik(m, r) - direct) <= 1e-9, (year, with_lane, r)
@@ -219,7 +220,7 @@ def test_search_finds_stationary_point_or_boundary():
                 assert profile_loglik(m, 0.0) >= profile_loglik(m, 1e-3), i
             else:
                 interior += 1
-                q1, q2, q3 = q_components(pairs, fit.beta[:m.p])
+                q1, q2, q3 = q_components(pairs, fit.beta)
                 assert abs(fit.rho - 2 * q3 / (q1 + q2)) <= 1e-9, i
             best = max(profile_loglik(m, r) for r in grid)
             assert profile_loglik(m, fit.rho) >= best - 1e-9, i
