@@ -10,8 +10,7 @@ from importlib import import_module
 _HOMES = {
     "counterfactual": "SpeculativeList round_trip speculate",
     "dataset": "EventDataset Lane OlympicEntry PairObs ParseError Run RunStatus SkaterPair"
-               " lane_indicator load_event parse_event parse_olympic serialize_event"
-               " usable_pairs",
+               " load_event parse_event parse_olympic serialize_event usable_pairs",
     "diagnostics": "AdjustedDiffs CleanedFit OutlierReport ValidationReport adjusted_differences"
                    " clean_and_refit gaussian_kde_curve outlier_scan validate_model",
     "meta": "EventSummary MetaResult PowerSpec SplitContrast combine cross_group_correlation"

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # Outlier-screen threshold on |t|; here so the CLI can default to it without numpy.
 DEFAULT_THRESHOLD = 2.75
@@ -53,8 +54,7 @@ class Lane(enum.Enum):
         return Lane.OUTER_START if self is Lane.INNER_START else Lane.INNER_START
 
 
-@dataclass(frozen=True)
-class Run:
+class Run(NamedTuple):
     """One 500 m run: starting lane, 100 m passing time, finishing time."""
 
     lane: Lane
@@ -88,10 +88,6 @@ class SkaterPair:
     @property
     def usable(self) -> bool:
         return self.day1.complete and self.day2.complete
-
-    @property
-    def lanes_alternate(self) -> bool:
-        return self.day1.lane is not self.day2.lane
 
 
 @dataclass
@@ -186,11 +182,14 @@ def format_time(cs: int | None) -> str:
     return "" if cs is None else f"{cs // 100}.{cs % 100:02d}"
 
 
-def _parse_run(fields: list[str], line: int) -> Run:
+def _parse_run(fields: list[str], line: int, times: dict[str, int | None]) -> Run:
+    """One run's four tokens; ``times`` memoizes each valid time token of the file."""
     lane_tok, t100_tok, t500_tok, status_tok = fields
     lane, status = _lane_status(lane_tok, status_tok, line)
-    t100 = _parse_time(t100_tok, line)
-    t500 = _parse_time(t500_tok, line)
+    t100 = times[t100_tok] if t100_tok in times else times.setdefault(
+        t100_tok, _parse_time(t100_tok, line))
+    t500 = times[t500_tok] if t500_tok in times else times.setdefault(
+        t500_tok, _parse_time(t500_tok, line))
     if status is RunStatus.OK:
         if t100 is None or t500 is None:
             raise ParseError("status ok requires both times", line)
@@ -210,7 +209,7 @@ def parse_event(text: str) -> EventDataset:
     header = _parse_header(lines)
     if header is None:
         raise ParseError("missing '#event,<venue>,<year>' header", 1)
-    skaters = []
+    skaters, times = [], {}
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -221,8 +220,8 @@ def parse_event(text: str) -> EventDataset:
         name = fields[0].strip()
         if not name:
             raise ParseError("empty skater name", lineno)
-        day1 = _parse_run(fields[1:5], lineno)
-        day2 = _parse_run(fields[5:9], lineno)
+        day1 = _parse_run(fields[1:5], lineno, times)
+        day2 = _parse_run(fields[5:9], lineno, times)
         note = fields[9].strip() if len(fields) == 10 else ""
         skaters.append(SkaterPair(name, day1, day2, note))
     return EventDataset(*header, skaters)
@@ -246,7 +245,8 @@ def parse_olympic(text: str) -> tuple[str, list[OlympicEntry]]:
     """Parse an Olympic single-run list: ``name,lane,time,status`` rows.
 
     An optional ``#event,<venue>,<year>`` header is allowed; its venue and
-    year become the returned label.
+    year become the returned label.  Finishers come first, in non-decreasing
+    time order; non-finishers follow them.
     """
     lines = text.splitlines()
     header = _parse_header(lines)
@@ -266,13 +266,13 @@ def parse_olympic(text: str) -> tuple[str, list[OlympicEntry]]:
             raise ParseError("finisher without a time", lineno)
         if status is not RunStatus.OK and time_cs is not None:
             raise ParseError("non-finisher with a time", lineno)
+        if time_cs is not None and entries and not entries[-1].finished:
+            raise ParseError("finisher listed after a non-finisher", lineno)
+        if time_cs is not None and entries and time_cs < entries[-1].time_cs:
+            raise ParseError(f"time {format_time(time_cs)} is faster than the"
+                             f" {format_time(entries[-1].time_cs)} listed before it", lineno)
         entries.append(OlympicEntry(name, lane, time_cs, status))
     return label, entries
-
-
-def lane_indicator(pair: SkaterPair) -> float:
-    """+1/2 for an outer start on day 1, -1/2 for an inner start."""
-    return 0.5 if pair.day1.lane is Lane.OUTER_START else -0.5
 
 
 def usable_pairs(ds: EventDataset, lane_policy: str = "warn_day1",
@@ -289,16 +289,17 @@ def usable_pairs(ds: EventDataset, lane_policy: str = "warn_day1",
     out: list[PairObs] = []
     warnings: list[str] = []
     for s in ds.skaters:
-        if not s.usable:
+        (lane1, x1, y1, status1), (lane2, x2, y2, status2) = s.day1, s.day2
+        if not (status1 is status2 is RunStatus.OK and None not in (x1, y1, x2, y2)):
             continue
-        if not s.lanes_alternate:
+        if lane1 is lane2:
             warnings.append(
                 f"{s.name}: same starting lane on both days"
                 + (" (kept, w from day 1)" if lane_policy == "warn_day1" else " (dropped)"))
             if lane_policy == "strict":
                 continue
-        out.append(PairObs(s.name, s.day1.t100, s.day1.t500,
-                           s.day2.t100, s.day2.t500, lane_indicator(s)))
+        out.append(PairObs(s.name, x1 / 100.0, y1 / 100.0, x2 / 100.0, y2 / 100.0,
+                           0.5 if lane1 is Lane.OUTER_START else -0.5))
     return out, warnings
 
 

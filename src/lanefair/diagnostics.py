@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,10 +22,12 @@ from .model import FitResult, day_residuals, fit_ml
 
 _KDE_GRIDSIZE = 512
 _KDE_BLOCK = 16384      # kernel terms per block of grid rows, which bounds the memory
+# The tags of flag code T1 + 2 T2 + 4 T3, in T1, T2, T3 order.
+_FLAG_TAGS = [tuple(t for bit, t in enumerate(("T1", "T2", "T3")) if code >> bit & 1)
+              for code in range(8)]
 
 
-@dataclass(frozen=True)
-class OutlierRecord:
+class OutlierRecord(NamedTuple):
     name: str
     t1: float
     t2: float
@@ -61,11 +63,10 @@ def outlier_scan(pairs: Sequence[PairObs], fit: FitResult,
     marginal = math.hypot(fit.sigma_un, fit.kappa_un)
     t1, t2 = r1 / marginal, r2 / marginal
     t3 = (r2 - r1) / (math.sqrt(2.0) * fit.sigma_un)
-    hits = zip(np.abs(t1) > threshold, np.abs(t2) > threshold, np.abs(t3) >= threshold)
-    records = []
-    for p, s1, s2, s3, hit in zip(pairs, t1.tolist(), t2.tolist(), t3.tolist(), hits):
-        tags = tuple(tag for tag, h in zip(("T1", "T2", "T3"), hit) if h)
-        records.append(OutlierRecord(p.name, s1, s2, s3, tags))
+    codes = ((np.abs(t1) > threshold) + 2 * (np.abs(t2) > threshold)
+             + 4 * (np.abs(t3) >= threshold)).tolist()
+    records = map(OutlierRecord, [p.name for p in pairs], t1.tolist(), t2.tolist(), t3.tolist(),
+                  [_FLAG_TAGS[c] for c in codes])
     return OutlierReport(tuple(records), threshold)
 
 
@@ -129,8 +130,7 @@ def gaussian_kde_curve(values: Sequence[float], bandwidth: float | str = "silver
     return KdeCurve(grid, density, h)
 
 
-@dataclass(frozen=True)
-class ValidationRecord:
+class ValidationRecord(NamedTuple):
     name: str
     ave_star: float
     diff_star: float
@@ -181,8 +181,8 @@ def validate_model(pairs: Sequence[PairObs], fit: FitResult,
     r1, r2 = day_residuals(pairs, fit.beta)
     ave_v = 0.5 * (r1 + r2) / math.sqrt(fit.kappa_un ** 2 + fit.sigma_un ** 2 / 2.0)
     diff_v = (r2 - r1) / (math.sqrt(2.0) * fit.sigma_un)
-    records = tuple(ValidationRecord(p.name, a, dd)
-                    for p, a, dd in zip(pairs, ave_v.tolist(), diff_v.tolist()))
+    records = tuple(map(ValidationRecord, [p.name for p in pairs], ave_v.tolist(),
+                        diff_v.tolist()))
     return ValidationReport(
         records=records,
         skew_diff=_skew(diff_v), skew_ave=_skew(ave_v),
@@ -196,8 +196,7 @@ def validate_model(pairs: Sequence[PairObs], fit: FitResult,
         n=n)
 
 
-@dataclass(frozen=True)
-class AdjustedDiffRecord:
+class AdjustedDiffRecord(NamedTuple):
     name: str
     w: float
     D: float                    # seconds
@@ -224,6 +223,6 @@ def adjusted_differences(pairs: Sequence[PairObs]) -> AdjustedDiffs:
     r1, r2 = day_residuals(pairs, fit0.beta)
     D = r2 - r1
     star = D / (math.sqrt(2.0) * fit0.sigma_un)
-    records = tuple(AdjustedDiffRecord(p.name, p.w, dd, ds)
-                    for p, dd, ds in zip(pairs, D.tolist(), star.tolist()))
+    records = tuple(map(AdjustedDiffRecord, [p.name for p in pairs], [p.w for p in pairs],
+                        D.tolist(), star.tolist()))
     return AdjustedDiffs(records, fit0)

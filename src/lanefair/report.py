@@ -208,7 +208,7 @@ def _speculate_text(label: str, entries, spec: SpeculativeList) -> str:
     real_marks = _rank_marks(competition_ranks([e.time_cs for e in finished])
                              + [None] * len(unranked))
     spec_marks = _rank_marks([s.rank for s in spec.entries])
-    width = max(len(e.name) for e in entries)
+    width = max((len(e.name) for e in entries), default=0)
     lines = []
     if label:
         lines.append(label)

@@ -204,6 +204,27 @@ def test_speculate_text_layout(capsys):
     assert "Uwe-Jens Mey" in out
 
 
+@pytest.mark.parametrize("fmt,expected", [
+    ("text", "Calgary 1988\nreal list:   speculative list:\n"),
+    ("csv", "rank,name,time\n"),
+    ("json", '{\n  "label": "Calgary 1988",\n  "d": 0.05,\n  "entries": []\n}\n'),
+])
+def test_speculate_on_a_header_only_list_shows_no_entries(capsys, tmp_path, fmt, expected):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("#event,Calgary,1988\n", encoding="utf-8")
+    assert run(capsys, "speculate", str(empty), "--format", fmt) == (0, expected, "")
+
+
+def test_speculate_on_a_list_out_of_order_is_parse_error(capsys, tmp_path):
+    bad = tmp_path / "unsorted.csv"
+    bad.write_text("#event,Calgary,1988\nA,i,36.33,ok\nB,o,36.33,ok\nC,i,36.20,ok\n",
+                   encoding="utf-8")
+    code, out, err = run(capsys, "speculate", str(bad))
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1 and err.startswith("lanefair: ")
+    assert "line 4: time 36.20 is faster" in err
+
+
 def test_validate_outputs(capsys, tmp_path):
     prefix = tmp_path / "kde"
     code, out, _ = run(capsys, "validate", str(DATA / "swc1994.csv"),
@@ -374,7 +395,7 @@ def test_light_calls_load_no_numpy(statement):
 def test_package_names_are_their_home_modules_objects():
     import lanefair
 
-    assert len(lanefair.__all__) == len(set(lanefair.__all__)) == 51
+    assert len(lanefair.__all__) == len(set(lanefair.__all__)) == 50
     for name in lanefair.__all__:
         obj = getattr(lanefair, name)
         assert obj is getattr(importlib.import_module(obj.__module__), name), name

@@ -200,9 +200,17 @@ def test_csv_rendering():
     ("A,i,36.33,dnf", "with a time"),
     ("#event,Calgary\nA,i,36.33,ok", "line 1: header"),
     ("#event,Calgary,1988,extra\nA,i,36.33,ok", "line 1: header"),
+    ("A,i,36.33,ok\nB,o,36.33,ok\nC,i,36.20,ok",
+     "line 3: time 36.20 is faster than the 36.33 listed before it"),
+    ("A,i,36.33,ok\nB,o,,dnf\nC,i,36.40,ok", "line 3: finisher listed after a non-finisher"),
 ])
 def test_parse_olympic_errors(row, fragment):
     with pytest.raises(ParseError) as err:
         parse_olympic(f"{row}\n")
     assert fragment in str(err.value)
 
+
+def test_parse_olympic_accepts_ties_and_trailing_non_finishers():
+    _, entries = parse_olympic("A,i,36.33,ok\nB,o,36.33,ok\nC,i,36.40,ok\n"
+                               "D,o,,fell\nE,i,,dnf\n")
+    assert [e.name for e in entries] == list("ABCDE")

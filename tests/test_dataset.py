@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lanefair.dataset import (EventDataset, Lane, ParseError, Run, RunStatus,
-                              SkaterPair, lane_indicator, load_event, parse_event,
-                              parse_olympic, serialize_event, usable_pairs)
+                              SkaterPair, load_event, parse_event, parse_olympic,
+                              serialize_event, usable_pairs)
 
 from conftest import DATA
 
@@ -27,12 +27,12 @@ def test_jansen_row_parses_exactly():
     assert (s.day1.t100_cs, s.day1.t500_cs) == (982, 3596)
     assert (s.day2.t100_cs, s.day2.t500_cs) == (975, 3576)
     assert s.day1.status is RunStatus.OK and s.day2.status is RunStatus.OK
-    assert lane_indicator(s) == 0.5
+    assert usable_pairs(ds)[0][0].w == 0.5
 
 
 def test_inner_start_day1_gives_negative_w():
     ds = parse_event("#event,Calgary,1994\nR.Strom,i,9.99,37.07,ok,o,10.03,36.87,ok\n")
-    assert lane_indicator(ds.skaters[0]) == -0.5
+    assert usable_pairs(ds)[0][0].w == -0.5
 
 
 @pytest.mark.parametrize("row,fragment", [
@@ -52,6 +52,34 @@ def test_malformed_rows_report_line_two(row, fragment):
         parse_event(f"#event,V,1990\n{row}\n")
     assert "line 2" in str(err.value)
     assert fragment in str(err.value)
+
+
+def test_repeated_bad_time_fails_at_its_first_line():
+    good = "A,o,9.82,35.96,ok,i,9.75,35.76,ok"
+    rows = [good.replace("A", name) for name in "ABCDEF"]
+    rows[1] = rows[1].replace("35.96", "35.9x")
+    rows[5] = rows[5].replace("9.75", "35.9x")
+    with pytest.raises(ParseError) as err:
+        parse_event("#event,V,1990\n" + "\n".join(rows) + "\n")
+    assert str(err.value) == "line 3: time '35.9x' is not a centisecond multiple"
+    assert err.value.line == 3
+
+
+def test_a_seen_time_is_still_checked_against_its_status():
+    text = ("#event,V,1990\n"
+            "A,o,9.82,35.96,ok,i,9.75,35.76,ok\n"
+            "B,o,9.90,35.96,dnf,i,9.75,35.76,ok\n")
+    with pytest.raises(ParseError) as err:
+        parse_event(text)
+    assert str(err.value) == "line 3: status 'dnf' cannot carry a 500 m time"
+
+
+def test_run_fields_cannot_be_assigned():
+    run = parse_event("#event,V,1990\nA,o,9.82,35.96,ok,i,9.75,35.76,ok\n").skaters[0].day1
+    for name in ("lane", "t100_cs", "t500_cs", "status"):
+        with pytest.raises(AttributeError):
+            setattr(run, name, getattr(run, name))
+    assert (run.t100, run.t500, run.complete) == (9.82, 35.96, True)
 
 
 def test_duplicate_names_rejected():

@@ -1,17 +1,19 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import DATA
-from lanefair.dataset import PairObs, load_event, usable_pairs
+from lanefair.dataset import (Lane, PairObs, RunStatus, load_event, parse_event,
+                              serialize_event, usable_pairs)
 from lanefair.diagnostics import (adjusted_differences, clean_and_refit,
                                   gaussian_kde_curve, outlier_scan,
                                   validate_model)
-from lanefair.model import FitResult, fit_ml
+from lanefair.model import FitResult, day_residuals, fit_ml
 from lanefair.simulate import (expected_flag_rate, null_flag_rates,
                                simulate_event)
 
@@ -55,6 +57,135 @@ def test_zero_residuals_give_zero_statistics():
         assert (rec.t1, rec.t2, rec.t3) == (0.0, 0.0, 0.0)
         assert not rec.flagged
     assert report.flagged_names == []
+
+
+# (t1, t2) on the scale of _exact_fit, where t3 = t2 - t1, for each flag code.
+FLAG_CASES = {
+    (0.0, 0.0): (), (3.0, 1.0): ("T1",), (1.0, 3.0): ("T2",), (3.0, 3.0): ("T1", "T2"),
+    (-1.5, 1.5): ("T3",), (3.0, -1.0): ("T1", "T3"), (-1.0, 3.0): ("T2", "T3"),
+    (3.0, -3.0): ("T1", "T2", "T3"),
+}
+
+
+def test_every_flag_combination_is_tagged_in_order():
+    fit = _exact_fit([])
+    scale = math.hypot(fit.sigma_un, fit.kappa_un)
+    assert scale == pytest.approx(math.sqrt(2.0) * fit.sigma_un)
+    pairs = []
+    for i, (t1, t2) in enumerate(FLAG_CASES):
+        w = 0.5 if i % 2 else -0.5
+        x1, x2 = 10.0 + 0.1 * i, 10.05 + 0.1 * i
+        pairs.append(PairObs(f"{t1},{t2}", x1, 17.0 + 2.0 * x1 + 0.04 * w + t1 * scale,
+                             x2, 17.2 + 2.0 * x2 - 0.04 * w + t2 * scale, w))
+    report = outlier_scan(pairs, fit)
+    assert [r.flagged_by for r in report.records] == list(FLAG_CASES.values())
+    assert report.flagged_names == [p.name for p in pairs][1:]
+
+
+def test_records_cannot_be_assigned(pipeline):
+    cleaned = pipeline[1994]
+    records = (cleaned.report.records[0],
+               validate_model(cleaned.pairs_clean, cleaned.fit).records[0],
+               adjusted_differences(cleaned.pairs_clean).records[0])
+    for record in records:
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+
+
+def _large_field_text(n=2500, seed=5):
+    """A canonical event file of n skaters with non-finishers, repeated
+    lanes and a few runs slowed by 3 s."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(10.1, 0.2, (n, 2))
+    y = 17.0 + 2.0 * x + rng.normal(0.0, 0.3, (n, 1)) + rng.normal(0.0, 0.25, (n, 2))
+    y[rng.choice(n, n // 100, replace=False), rng.integers(0, 2, n // 100)] += 3.0
+    lines = ["#event,Synthetic,2001"]
+    for i in range(n):
+        lanes = ("o", "i") if i % 2 else ("i", "o")
+        if i % 97 == 0:
+            lanes = (lanes[0], lanes[0])
+        runs = [[lanes[k], f"{x[i, k]:.2f}", f"{y[i, k]:.2f}", "ok"] for k in (0, 1)]
+        if i % 53 == 0:
+            runs[i % 2][2:] = ["", ("fell", "dnf", "dq", "wd")[i % 4]]
+        if i % 211 == 0:
+            runs[1] = [lanes[1], "", "", "dns"]
+        note = ["note"] if i % 89 == 0 else []
+        lines.append(",".join([f"S{i:04d}", *runs[0], *runs[1], *note]))
+    return "\n".join(lines) + "\n"
+
+
+@dataclasses.dataclass(frozen=True)
+class _FrozenRun:
+    """The frozen-dataclass form of a run that the reference pipeline reads."""
+
+    lane: Lane
+    t100_cs: int | None
+    t500_cs: int | None
+    status: RunStatus
+
+    @property
+    def complete(self):
+        return (self.status is RunStatus.OK and self.t100_cs is not None
+                and self.t500_cs is not None)
+
+
+def _reference_usable_pairs(ds):
+    out, warnings = [], []
+    for s in ds.skaters:
+        day1, day2 = (_FrozenRun(r.lane, r.t100_cs, r.t500_cs, r.status)
+                      for r in (s.day1, s.day2))
+        if not (day1.complete and day2.complete):
+            continue
+        if day1.lane is day2.lane:
+            warnings.append(f"{s.name}: same starting lane on both days (kept, w from day 1)")
+        out.append(PairObs(s.name, day1.t100_cs / 100.0, day1.t500_cs / 100.0,
+                           day2.t100_cs / 100.0, day2.t500_cs / 100.0,
+                           0.5 if day1.lane is Lane.OUTER_START else -0.5))
+    return out, warnings
+
+
+def _reference_flags(pairs, fit, threshold=2.75):
+    r1, r2 = day_residuals(pairs, fit.beta)
+    marginal = math.hypot(fit.sigma_un, fit.kappa_un)
+    t1, t2 = r1 / marginal, r2 / marginal
+    t3 = (r2 - r1) / (math.sqrt(2.0) * fit.sigma_un)
+    return [(p.name, a, b, c, tuple(tag for tag, hit in zip(
+        ("T1", "T2", "T3"), (abs(a) > threshold, abs(b) > threshold, abs(c) >= threshold))
+        if hit)) for p, a, b, c in zip(pairs, t1.tolist(), t2.tolist(), t3.tolist())]
+
+
+def test_large_field_matches_the_frozen_dataclass_reference():
+    text = _large_field_text()
+    ds = parse_event(text)
+    assert len(ds.skaters) == 2500 and serialize_event(ds) == text
+    pairs, warnings = usable_pairs(ds)
+    assert (pairs, warnings) == _reference_usable_pairs(ds)
+    assert 2300 < len(pairs) < 2500 and warnings
+
+    cleaned = clean_and_refit(pairs, warnings=warnings)
+    first = fit_ml(pairs)
+    flags = _reference_flags(pairs, first)
+    removed = tuple(name for name, *_, tags in flags if tags)
+    kept = tuple(p for p in pairs if p.name not in removed)
+    assert [tuple(r) for r in cleaned.report.records] == flags
+    assert cleaned.removed == removed and len(removed) >= 20
+    assert cleaned.pairs_clean == kept
+    assert np.array_equal(cleaned.fit.beta, fit_ml(kept).beta)
+
+    fit = cleaned.fit
+    r1, r2 = day_residuals(kept, fit.beta)
+    ave = 0.5 * (r1 + r2) / math.sqrt(fit.kappa_un ** 2 + fit.sigma_un ** 2 / 2.0)
+    diff = (r2 - r1) / (math.sqrt(2.0) * fit.sigma_un)
+    assert [tuple(r) for r in validate_model(kept, fit).records] == list(
+        zip([p.name for p in kept], ave.tolist(), diff.tolist()))
+
+    ad = adjusted_differences(kept)
+    r1, r2 = day_residuals(kept, fit_ml(kept, constraint="d_equals_zero").beta)
+    D = r2 - r1
+    star = D / (math.sqrt(2.0) * ad.fit_zero_d.sigma_un)
+    assert [tuple(r) for r in ad.records] == [(p.name, p.w, dd, ds_) for p, dd, ds_ in zip(
+        kept, D.tolist(), star.tolist())]
 
 
 def test_screening_rosters_per_event(pipeline):
