@@ -1,7 +1,8 @@
 """Command-line front end: fit, meta, speculate, validate, power, mc.
 
 Each subcommand imports the modules it computes with and maps their errors
-to exit codes, so ``speculate`` and ``power`` never load numpy."""
+to exit codes, so ``speculate``, ``power`` and ``meta --summary`` never load
+numpy."""
 
 from __future__ import annotations
 

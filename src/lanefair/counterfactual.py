@@ -8,14 +8,12 @@ done in integer centiseconds so published lists reproduce exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dataset import Lane, OlympicEntry, format_time
 
 
-@dataclass(frozen=True)
-class SpeculativeEntry:
+class SpeculativeEntry(NamedTuple):
     rank: int | None            # None for non-finishers
     name: str
     time_cs: int | None
@@ -25,8 +23,7 @@ class SpeculativeEntry:
         return "---" if self.time_cs is None else format_time(self.time_cs)
 
 
-@dataclass(frozen=True)
-class SpeculativeList:
+class SpeculativeList(NamedTuple):
     entries: tuple[SpeculativeEntry, ...]
     d_cs: int
 

@@ -76,8 +76,7 @@ class Run(NamedTuple):
                 and self.t500_cs is not None)
 
 
-@dataclass
-class SkaterPair:
+class SkaterPair(NamedTuple):
     """One skater's two-day record."""
 
     name: str
@@ -124,8 +123,7 @@ class PairObs:
     w: float
 
 
-@dataclass(frozen=True)
-class OlympicEntry:
+class OlympicEntry(NamedTuple):
     name: str
     lane: Lane
     time_cs: int | None

@@ -12,7 +12,6 @@ removal rosters for the bundled championships require it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -39,8 +38,7 @@ class OutlierRecord(NamedTuple):
         return bool(self.flagged_by)
 
 
-@dataclass(frozen=True)
-class OutlierReport:
+class OutlierReport(NamedTuple):
     records: tuple[OutlierRecord, ...]
     threshold: float
 
@@ -70,8 +68,7 @@ def outlier_scan(pairs: Sequence[PairObs], fit: FitResult,
     return OutlierReport(tuple(records), threshold)
 
 
-@dataclass(frozen=True)
-class CleanedFit:
+class CleanedFit(NamedTuple):
     """Outcome of the screen-and-refit pipeline."""
 
     first_fit: FitResult
@@ -98,8 +95,7 @@ def clean_and_refit(pairs: Sequence[PairObs], threshold: float = DEFAULT_THRESHO
     return CleanedFit(first, report, tuple(report.flagged_names), kept, final, tuple(warnings))
 
 
-@dataclass(frozen=True)
-class KdeCurve:
+class KdeCurve(NamedTuple):
     grid: np.ndarray
     density: np.ndarray
     bandwidth: float
@@ -136,8 +132,7 @@ class ValidationRecord(NamedTuple):
     diff_star: float
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Standardized averages/differences with their normality summaries."""
 
     records: tuple[ValidationRecord, ...]
@@ -203,8 +198,7 @@ class AdjustedDiffRecord(NamedTuple):
     D_star: float               # D / (sqrt(2) sigma_un), d=0 refit scale
 
 
-@dataclass(frozen=True)
-class AdjustedDiffs:
+class AdjustedDiffs(NamedTuple):
     records: tuple[AdjustedDiffRecord, ...]
     fit_zero_d: FitResult
 

@@ -3,7 +3,8 @@
 Inverse-variance weighting gives the optimal fixed-effects combination;
 a moment estimator quantifies how much the true per-event difference
 wanders between events, and a split-half contrast compares the top half
-of each field with the rest.  Power planning loads neither numpy nor the fitter.
+of each field with the rest.  Combining published summaries and power
+planning are plain float arithmetic: they load neither numpy nor the fitter.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .dataset import PairObs
 
@@ -44,8 +45,7 @@ class EventSummary:
             raise MetaError(f"{self.label}: standard error {self.se:g} has no finite weight")
 
 
-@dataclass(frozen=True)
-class MetaResult:
+class MetaResult(NamedTuple):
     grand_d: float
     grand_se: float
     z: float
@@ -56,28 +56,33 @@ class MetaResult:
     K: int
 
 
+def _fsum(values: Iterable[float], what: str) -> float:
+    """Correctly rounded sum; MetaError when it, or a term, leaves the float range."""
+    try:
+        total = math.fsum(values)
+    except (OverflowError, ValueError):     # a term's power overflows, or inf - inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise MetaError(f"cannot combine the estimates: {what} overflows")
+    return total
+
+
 def combine(summaries: Sequence[EventSummary]) -> MetaResult:
     """Inverse-variance weighted mean with normal-tail tests.
 
     With a single summary the combination is that summary itself and the
     between-event spread is reported as zero.
-    Raises MetaError when a sum or the spread overflows.
+    Raises MetaError when a sum, the mean or the spread overflows.
     """
-    import numpy as np
-
     if not summaries:
         raise MetaError("no event summaries to combine")
-    d = np.array([s.d for s in summaries])
-    w = np.array([1.0 / s.se ** 2 for s in summaries])
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            grand = float((w * d).sum() / w.sum())
-            se = float(w.sum() ** -0.5)
-            omega0 = heterogeneity(summaries, grand) if len(summaries) >= 2 else 0.0
-    except FloatingPointError as exc:
-        raise MetaError(f"cannot combine the estimates: {exc}") from None
-    if not math.isfinite(omega0):
-        raise MetaError("cannot combine the estimates: omega0 overflows")
+    w = [1.0 / s.se ** 2 for s in summaries]       # finite: EventSummary bounds se
+    w_sum = _fsum(w, "the weight sum")
+    grand = _fsum((wj * s.d for wj, s in zip(w, summaries)), "the weighted sum") / w_sum
+    se = w_sum ** -0.5
+    omega0 = heterogeneity(summaries, grand) if len(summaries) >= 2 else 0.0
+    if not (math.isfinite(grand) and math.isfinite(omega0)):
+        raise MetaError("cannot combine the estimates: the mean or omega0 overflows")
     z = grand / se
     return MetaResult(
         grand_d=grand, grand_se=se, z=z,
@@ -94,15 +99,11 @@ def heterogeneity(summaries: Sequence[EventSummary], grand_d: float) -> float:
     its excess over that, scaled by A2 - A4/A2 with A_q = sum se_j^{-q},
     estimates omega0^2.  Truncated at zero.
     """
-    import numpy as np
-
     if len(summaries) < 2:
         raise MetaError("heterogeneity needs at least 2 events")
-    d = np.array([s.d for s in summaries])
-    se = np.array([s.se for s in summaries])
-    t = float((((d - grand_d) / se) ** 2).sum())
-    a2 = float((se ** -2).sum())
-    a4 = float((se ** -4).sum())
+    t = _fsum((((s.d - grand_d) / s.se) ** 2 for s in summaries), "the dispersion")
+    a2 = _fsum((s.se ** -2 for s in summaries), "the sum of se^-2")
+    a4 = _fsum((s.se ** -4 for s in summaries), "the sum of se^-4")
     denom = a2 - a4 / a2
     if denom <= 0.0:
         raise MetaError("degenerate weights: all precision on one event")
@@ -130,8 +131,7 @@ def cross_group_correlation(a: Sequence[EventSummary], b: Sequence[EventSummary]
     return float(np.corrcoef([s.d for s in a], [s.d for s in b])[0, 1])
 
 
-@dataclass(frozen=True)
-class PowerSpec:
+class PowerSpec(NamedTuple):
     sigma: float
     target_se: float
     true_d: float
@@ -157,8 +157,7 @@ def power_plan(sigma: float, target_se: float, true_d: float,
     return PowerSpec(sigma, target_se, true_d, alpha, n_req, power)
 
 
-@dataclass(frozen=True)
-class SplitEntry:
+class SplitEntry(NamedTuple):
     label: str
     d_best: float
     se_best: float
@@ -166,8 +165,7 @@ class SplitEntry:
     se_rest: float
 
 
-@dataclass(frozen=True)
-class SplitContrast:
+class SplitContrast(NamedTuple):
     per_event: tuple[SplitEntry, ...]
     combined_delta: float
     combined_se: float

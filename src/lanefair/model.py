@@ -20,8 +20,7 @@ maximum lies at a real root of the cubic (U*V)'.  For fixed rho, beta =
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,8 +73,7 @@ def design_rows(pairs: Sequence[PairObs], with_lane: bool = True):
     return np.column_stack(cols1), np.column_stack(cols2), y1, y2
 
 
-@dataclass(frozen=True)
-class MomentMatrices:
+class MomentMatrices(NamedTuple):
     """Augmented Gram matrices of the rotated rows, averaged over the pairs.
 
     A comes from the average rows [(X1 + X2)/2 | (y1 + y2)/2] and D from
@@ -167,8 +165,7 @@ def _slope_profile(g: np.ndarray, nuisance: list[int]) -> np.ndarray:
     return np.array([s[0, 0], -2.0 * s[0, 1], s[1, 1]])
 
 
-@dataclass
-class FitResult:
+class FitResult(NamedTuple):
     """Estimates and precision for one event fit."""
 
     beta: np.ndarray            # (a1, a2, b, d); d is 0.0 under the d=0 constraint
@@ -277,48 +274,14 @@ def fit_ml(pairs: Sequence[PairObs], constraint: str = "free_d") -> FitResult:
         fixed_point_residual=fixed_point)
 
 
-@dataclass(frozen=True)
-class SimpleFit:
-    """Ordinary least squares on the day-to-day differences."""
-
-    a0: float                   # a2 - a1
-    b: float
-    d: float
-    sigma: float                # per-run scale: residual variance estimates 2 sigma^2
-    se_d: float
-    n: int
-
-
-def fit_simple(pairs: Sequence[PairObs]) -> SimpleFit:
-    """Regress Y2 - Y1 on an intercept, x2 - x1 and -2w.
-
-    This is the difference Gram D alone, on the coordinates (a1, b, d):
-    its rows regress Y1 - Y2 on (1, x1 - x2, 2w), so a0 = -a1.
-    """
-    n = len(pairs)
-    if n < 4:
-        raise InsufficientDataError(f"need at least 4 usable pairs, got {n}")
-    D = build_moments(pairs).D
-    g = D[np.ix_([0, 2, 3], [0, 2, 3])]
-    if np.linalg.matrix_rank(g) < 3:
-        raise DegenerateDesignError("collinear difference design")
-    rhs = D[[0, 2, 3], 4]
-    coef = np.linalg.solve(g, rhs)
-    s2 = max(n * float(D[4, 4] - coef @ rhs), 0.0) / (n - 3)
-    cov = s2 * np.linalg.inv(g) / n
-    return SimpleFit(a0=-float(coef[0]), b=float(coef[1]), d=float(coef[2]),
-                     sigma=math.sqrt(s2 / 2.0), se_d=math.sqrt(float(cov[2, 2])), n=n)
-
-
-@dataclass(frozen=True)
-class VarianceReport:
+class VarianceReport(NamedTuple):
     """Precision summary for the lane-difference estimate."""
 
     se_d_exact: float           # from the coefficient covariance
     se_d_balanced: float        # sqrt(2 sigma_un^2 / n), balanced-lane approximation
     var_sigma: float            # kurtosis-corrected variance of sigma-hat
     kurtosis_diff: float        # excess kurtosis of the day-difference residuals
-    b_var_ratio: float          # Var(b_simple) / Var(b_mixed) = 2/(1+rho)
+    b_var_ratio: float          # Var(b), day-difference OLS / mixed fit = 2/(1+rho)
 
 
 def variance_report(fit: FitResult, pairs: Sequence[PairObs]) -> VarianceReport:

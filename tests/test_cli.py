@@ -292,7 +292,8 @@ def test_mc_needs_two_replicates(capsys):
 
 
 # Inputs whose result leaves the float range: a summary row's weight 1/se^2,
-# a weighted sum, a run count, a variance bound that underflows to zero and
+# a weighted sum, se^-4, the weight sum, inf - inf in the weighted sum, the
+# dispersion, a run count, a variance bound that underflows to zero and
 # moments that overflow.
 TINY_SE = "label,d,se\nA,0.05,1e-200\nB,0.04,0.02\n"
 HUGE_D = "label,d,se\nA,1e308,0.02\nB,1e308,0.02\n"
@@ -301,6 +302,11 @@ OUT_OF_RANGE = {
     "mc-sigma-overflow": (("mc", "--reps", "3", "--sigma", "1e200"), 5),
     "meta-se-tiny": (("meta", "--summary", TINY_SE), 4),
     "meta-d-overflow": (("meta", "--summary", HUGE_D), 5),
+    "meta-se4-overflow": (("meta", "--summary", "A,0.05,1e-78\nB,0.04,0.02\n"), 5),
+    "meta-weight-sum-overflow": (("meta", "--summary", "A,0.05,1.1e-154\nB,0.04,1.1e-154\n"
+                                  "C,0.03,1.1e-154\n"), 5),
+    "meta-opposite-overflows": (("meta", "--summary", "A,1e200,1e-120\nB,-1e200,1e-120\n"), 5),
+    "meta-dispersion-overflow": (("meta", "--summary", "A,0,1e-100\nB,1e150,1e-10\n"), 5),
     "power-overflow": (("power", "--sigma", "1e200", "--se", "1e-200"), 5),
 }
 
@@ -329,6 +335,7 @@ def test_unusable_arguments_are_compute_errors(capsys, tmp_path, argv, expected)
     code, out, err = run(capsys, *argv)
     assert code == expected and out == ""
     assert err.count("\n") == 1 and err.startswith("lanefair: ")
+    assert "(34," not in err        # errno text of a bare OverflowError
 
 
 def test_non_finite_json_is_compute_error(capsys, monkeypatch):
@@ -370,17 +377,19 @@ def test_byte_order_mark_is_ignored(capsys, tmp_path):
 
 
 
-# Modules that only the estimators need; the package import and the integer
-# and closed-form subcommands must not load them.
+# Modules that only the estimators need; the package import, the integer and
+# closed-form subcommands and combining published summaries must not load them.
 ESTIMATION_MODULES = ("numpy", "lanefair.model", "lanefair.diagnostics")
 OLYMPIC = str(DATA / "oly1994.csv")
+SUMMARY = str(DATA / "summaries_women.csv")
 
 
 @pytest.mark.parametrize("statement", [
     "import lanefair",
     f"from lanefair.cli import main; assert main(['speculate', {OLYMPIC!r}]) == 0",
     "from lanefair.cli import main; assert main(['power', '--sigma', '1', '--se', '0.1']) == 0",
-], ids=["import", "speculate", "power"])
+    f"from lanefair.cli import main; assert main(['meta', '--summary', {SUMMARY!r}]) == 0",
+], ids=["import", "speculate", "power", "meta-summary"])
 def test_light_calls_load_no_numpy(statement):
     probe = (f"{statement}\nimport sys\n"
              f"print(sorted(set({ESTIMATION_MODULES!r}) & set(sys.modules)))")
@@ -395,9 +404,34 @@ def test_light_calls_load_no_numpy(statement):
 def test_package_names_are_their_home_modules_objects():
     import lanefair
 
-    assert len(lanefair.__all__) == len(set(lanefair.__all__)) == 50
+    assert len(lanefair.__all__) == len(set(lanefair.__all__)) == 48
     for name in lanefair.__all__:
         obj = getattr(lanefair, name)
         assert obj is getattr(importlib.import_module(obj.__module__), name), name
     with pytest.raises(AttributeError):
         lanefair.no_such_name
+
+
+def test_result_records_cannot_be_assigned(events, pipeline):
+    import lanefair as lf
+
+    _, entries = lf.parse_olympic((DATA / "oly1994.csv").read_text(encoding="utf-8"))
+    spec = lf.speculate(entries, 0.05)
+    contrast = lf.split_half((y, c.pairs_clean) for y, c in pipeline.items())
+    cleaned = pipeline[1994]
+    validation = lf.validate_model(cleaned.pairs_clean, cleaned.fit)
+    records = [
+        events[1994].skaters[0], entries[0], spec, spec.entries[0],
+        lf.combine(lf.read_summaries(Path(SUMMARY).read_text(encoding="utf-8"))),
+        lf.power_plan(0.25, 0.02, 0.05), contrast, contrast.per_event[0],
+        lf.build_moments(cleaned.pairs_clean), cleaned, cleaned.fit, cleaned.report,
+        lf.variance_report(cleaned.fit, cleaned.pairs_clean),
+        validation, validation.kde_diff, lf.adjusted_differences(cleaned.pairs_clean)]
+    assert sorted(type(r).__name__ for r in records) == sorted(
+        "SkaterPair OlympicEntry SpeculativeList SpeculativeEntry MetaResult PowerSpec"
+        " SplitContrast SplitEntry MomentMatrices CleanedFit FitResult OutlierReport"
+        " VarianceReport ValidationReport KdeCurve AdjustedDiffs".split())
+    for record in records:
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))

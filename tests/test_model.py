@@ -8,7 +8,7 @@ import pytest
 from lanefair.dataset import PairObs
 from lanefair.model import (RHO_MAX, DegenerateDesignError,
                             InsufficientDataError, build_moments, design_rows,
-                            fit_ml, fit_simple, gls_beta, profile_loglik,
+                            fit_ml, gls_beta, profile_loglik,
                             q_components, variance_report)
 from lanefair.simulate import simulate_event
 
@@ -333,50 +333,20 @@ def test_boundary_rho_reports_zero_kappa():
     assert fit.kappa_un == 0.0
 
 
-def test_fit_simple_matches_direct_least_squares(pipeline):
-    pairs = pipeline[1994].pairs_clean
-    simple = fit_simple(pairs)
-    X = np.column_stack([np.ones(len(pairs)),
-                         [p.x2 - p.x1 for p in pairs],
-                         [-2 * p.w for p in pairs]])
-    y = np.array([p.y2 - p.y1 for p in pairs])
-    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-    assert (simple.a0, simple.b, simple.d) == pytest.approx(tuple(coef), rel=1e-10)
-    rss = float(((y - X @ coef) ** 2).sum())
-    assert simple.sigma == pytest.approx(math.sqrt(rss / (len(pairs) - 3) / 2), rel=1e-10)
-    assert simple.se_d > 0
-
-
-def test_fit_simple_zero_differences():
-    pairs = [_pair(str(i), 10.0 + 0.1 * i, 37.0 + 0.2 * i,
-                   10.0 + 0.17 * (i % 4), 37.0 + 0.2 * i, (-1) ** i * 0.5)
-             for i in range(8)]
-    pairs = [PairObs(p.name, p.x1, p.y1, p.x2, p.y1, p.w) for p in pairs]
-    simple = fit_simple(pairs)
-    assert (simple.a0, simple.b, simple.d) == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
-
-
-def test_fit_simple_rejects_collinear_difference_designs():
-    # every skater in one lane: the -2w column is a multiple of the intercept
-    one_lane = [_pair(str(i), 10.0 + 0.07 * i, 37.0 + 0.13 * i + 0.01 * (i % 3),
-                      10.1 + 0.05 * (i % 4), 37.2 + 0.11 * i, 0.5) for i in range(10)]
-    # x2 - x1 is 0.05 s for everyone (up to float rounding of the centiseconds)
-    same_gap = [_pair(str(i), (1000 + 7 * i) / 100, (3700 + 13 * i + i % 3) / 100,
-                      (1005 + 7 * i) / 100, (3720 + 11 * i) / 100, (-1) ** i * 0.5)
-                for i in range(10)]
-    for pairs in (one_lane, same_gap):
-        with pytest.raises(DegenerateDesignError):
-            fit_simple(pairs)
-
-
-def test_fit_simple_tracks_mixed_fit_on_synthetic():
+def test_fit_ml_tracks_difference_ols_on_synthetic():
+    """Least squares on the day differences alone estimates the same d."""
     rng = np.random.default_rng(9)
     for _ in range(50):
         pairs = simulate_event(rng, 40)
         full = fit_ml(pairs)
-        simple = fit_simple(pairs)
-        joint = math.hypot(full.se_d, simple.se_d)
-        assert abs(simple.d - full.d) <= 3.0 * joint
+        X = np.column_stack([np.ones(len(pairs)),
+                             [p.x2 - p.x1 for p in pairs],
+                             [-2 * p.w for p in pairs]])
+        y = np.array([p.y2 - p.y1 for p in pairs])
+        coef, rss, *_ = np.linalg.lstsq(X, y, rcond=None)
+        cov = float(rss[0]) / (len(pairs) - 3) * np.linalg.inv(X.T @ X)
+        joint = math.hypot(full.se_d, math.sqrt(cov[2, 2]))
+        assert abs(coef[2] - full.d) <= 3.0 * joint
 
 
 def test_variance_report_values(pipeline):

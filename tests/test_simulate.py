@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 
 from lanefair.simulate import mc_calibration, simulate_event
@@ -25,3 +28,11 @@ def test_mc_calibration_repeatable_and_centered():
     b = mc_calibration(n=25, reps=60, seed=5)
     assert a == b
     assert abs(a.d_mean - a.d_true) <= 4 * np.sqrt(a.d_var_theory / a.reps)
+
+
+def test_mc_report_vars_are_its_finite_fields():
+    """The benchmark reads a report's values through vars()."""
+    rep = mc_calibration(n=6, reps=3)
+    values = vars(rep)
+    assert list(values) == [f.name for f in dataclasses.fields(rep)]
+    assert all(math.isfinite(v) for v in values.values())
