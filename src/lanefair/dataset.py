@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:       # importing model loads numpy; usable_pairs does so when called
+    from .model import PairObs
 
 # Outlier-screen threshold on |t|; here so the CLI can default to it without numpy.
 DEFAULT_THRESHOLD = 2.75
@@ -89,38 +91,21 @@ class SkaterPair(NamedTuple):
         return self.day1.complete and self.day2.complete
 
 
-@dataclass
-class EventDataset:
+class EventDataset(NamedTuple("EventDataset", [("venue", str), ("year", int),
+                                               ("skaters", list[SkaterPair])])):
     """One championship: metadata plus all skater pairs, in entry order."""
 
-    venue: str
-    year: int
-    skaters: list[SkaterPair] = field(default_factory=list)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        dupes = sorted(n for n, k in Counter(s.name for s in self.skaters).items() if k > 1)
+    def __new__(cls, venue: str, year: int, skaters: list[SkaterPair]):
+        dupes = sorted(n for n, k in Counter(s.name for s in skaters).items() if k > 1)
         if dupes:
             raise ParseError(f"duplicate skater names: {dupes}")
+        return super().__new__(cls, venue, year, skaters)
 
     @property
     def label(self) -> str:
         return f"{self.year} {self.venue}"
-
-
-@dataclass(frozen=True)
-class PairObs:
-    """A usable pair reduced to the quantities estimation needs.
-
-    ``w`` is the lane indicator: +1/2 for an outer start on day 1 (last
-    outer lane on day 2), -1/2 for an inner start on day 1.
-    """
-
-    name: str
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-    w: float
 
 
 class OlympicEntry(NamedTuple):
@@ -282,6 +267,8 @@ def usable_pairs(ds: EventDataset, lane_policy: str = "warn_day1",
     from the day-1 lane, under ``strict`` they are dropped.  Either way a
     warning is recorded.
     """
+    from .model import PairObs
+
     if lane_policy not in ("strict", "warn_day1"):
         raise ValueError(f"unknown lane policy {lane_policy!r}")
     out: list[PairObs] = []

@@ -16,8 +16,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import DEFAULT_THRESHOLD, PairObs
-from .model import FitResult, day_residuals, fit_ml
+from .dataset import DEFAULT_THRESHOLD
+from .model import FitResult, PairObs, day_residuals, fit_ml
 
 _KDE_GRIDSIZE = 512
 _KDE_BLOCK = 16384      # kernel terms per block of grid rows, which bounds the memory
@@ -118,10 +118,15 @@ def gaussian_kde_curve(values: Sequence[float], bandwidth: float | str = "silver
         raise ValueError(f"bandwidth must be positive and finite, got {h}")
     grid = np.linspace(v.min() - 3.0 * h, v.max() + 3.0 * h, _KDE_GRIDSIZE)
     density = np.empty(_KDE_GRIDSIZE)
-    rows = max(1, _KDE_BLOCK // v.size)
+    rows = min(_KDE_GRIDSIZE, max(1, _KDE_BLOCK // v.size))
+    buf = np.empty((rows, v.size))
     for lo in range(0, _KDE_GRIDSIZE, rows):     # each row's sum is the same, block or whole
-        z = np.subtract.outer(grid[lo:lo + rows], v) / h
-        np.exp(-0.5 * z * z).sum(axis=1, out=density[lo:lo + rows])
+        z = buf[:min(rows, _KDE_GRIDSIZE - lo)]
+        np.subtract.outer(grid[lo:lo + rows], v, out=z)
+        z /= h
+        np.square(z, out=z)
+        z *= -0.5                                # exact, so the same bits as -0.5 * z * z
+        np.exp(z, out=z).sum(axis=1, out=density[lo:lo + rows])
     density /= v.size * h * math.sqrt(2.0 * math.pi)
     return KdeCurve(grid, density, h)
 

@@ -10,13 +10,12 @@ planning are plain float arithmetic: they load neither numpy nor the fitter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from statistics import NormalDist
-from typing import Iterable, NamedTuple, Sequence
+from itertools import accumulate
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .dataset import PairObs
+if TYPE_CHECKING:       # the fitter's pair record; importing model loads numpy
+    from .model import PairObs
 
-_NORMAL = NormalDist()
 _MIN_HALF = 5            # smallest half split_half fits
 
 
@@ -29,20 +28,18 @@ class MetaError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EventSummary:
-    label: str
-    d: float
-    se: float
-    n: int | None = None
+class EventSummary(NamedTuple("EventSummary", [("label", str), ("d", float), ("se", float),
+                                               ("n", int | None)])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.d):
-            raise MetaError(f"{self.label}: non-finite estimate")
-        if not self.se > 0.0:
-            raise MetaError(f"{self.label}: standard error must be positive")
-        if not 1e-154 < self.se < 1e154:    # where 1/se^2 is a positive finite float
-            raise MetaError(f"{self.label}: standard error {self.se:g} has no finite weight")
+    def __new__(cls, label: str, d: float, se: float, n: int | None = None):
+        if not math.isfinite(d):
+            raise MetaError(f"{label}: non-finite estimate")
+        if not se > 0.0:
+            raise MetaError(f"{label}: standard error must be positive")
+        if not 1e-154 < se < 1e154:     # where 1/se^2 is a positive finite float
+            raise MetaError(f"{label}: standard error {se:g} has no finite weight")
+        return super().__new__(cls, label, d, se, n)
 
 
 class MetaResult(NamedTuple):
@@ -97,14 +94,18 @@ def heterogeneity(summaries: Sequence[EventSummary], grand_d: float) -> float:
 
     The weighted dispersion sum_j (d_j - d)^2 / se_j^2 has null mean K-1;
     its excess over that, scaled by A2 - A4/A2 with A_q = sum se_j^{-q},
-    estimates omega0^2.  Truncated at zero.
+    estimates omega0^2.  Truncated at zero.  The scale is sum_j w_j (A2 - w_j)/A2
+    with w_j = se_j^-2 and each A2 - w_j summed from the other weights, so
+    that it does not cancel when one weight dwarfs the rest.
     """
     if len(summaries) < 2:
         raise MetaError("heterogeneity needs at least 2 events")
     t = _fsum((((s.d - grand_d) / s.se) ** 2 for s in summaries), "the dispersion")
-    a2 = _fsum((s.se ** -2 for s in summaries), "the sum of se^-2")
-    a4 = _fsum((s.se ** -4 for s in summaries), "the sum of se^-4")
-    denom = a2 - a4 / a2
+    w = [s.se ** -2 for s in summaries]
+    a2 = _fsum(w, "the sum of se^-2")
+    before = accumulate(w[:-1], initial=0.0)                    # w_0 + ... + w_{j-1}
+    after = [*accumulate(reversed(w[1:]), initial=0.0)][::-1]   # w_{j+1} + ... + w_{K-1}
+    denom = _fsum((wj * ((b + a) / a2) for wj, b, a in zip(w, before, after)), "the scale")
     if denom <= 0.0:
         raise MetaError("degenerate weights: all precision on one event")
     return math.sqrt(max(0.0, (t - (len(summaries) - 1)) / denom))
@@ -115,7 +116,9 @@ def predict_range(grand_d: float, omega0: float, coverage: float = 0.90,
     """Central range for the event-specific true difference."""
     if omega0 < 0.0:
         raise MetaError("omega0 must be nonnegative")
-    half = _NORMAL.inv_cdf(0.5 + coverage / 2.0) * omega0
+    from statistics import NormalDist
+
+    half = NormalDist().inv_cdf(0.5 + coverage / 2.0) * omega0
     return (grand_d - half, grand_d + half)
 
 
@@ -153,7 +156,9 @@ def power_plan(sigma: float, target_se: float, true_d: float,
         n_req = math.ceil(2.0 * sigma ** 2 / target_se ** 2)
     except (OverflowError, ZeroDivisionError):
         raise MetaError("the required number of runs is not a finite number") from None
-    power = _NORMAL.cdf(true_d / target_se - _NORMAL.inv_cdf(1.0 - alpha))
+    from statistics import NormalDist
+
+    power = NormalDist().cdf(true_d / target_se - NormalDist().inv_cdf(1.0 - alpha))
     return PowerSpec(sigma, target_se, true_d, alpha, n_req, power)
 
 

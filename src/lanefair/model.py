@@ -20,11 +20,10 @@ maximum lies at a real root of the cubic (U*V)'.  For fixed rho, beta =
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-
-from .dataset import PairObs
 
 RHO_MAX = 1.0 - 1e-6
 
@@ -46,6 +45,22 @@ class InsufficientDataError(FitError):
 
 class DegenerateDesignError(FitError):
     pass
+
+
+@dataclass(frozen=True)
+class PairObs:
+    """A usable pair reduced to the quantities estimation needs.
+
+    ``w`` is the lane indicator: +1/2 for an outer start on day 1 (last
+    outer lane on day 2), -1/2 for an inner start on day 1.
+    """
+
+    name: str
+    x1: float
+    y1: float
+    x2: float
+    y2: float
+    w: float
 
 
 def _arrays(pairs: Sequence[PairObs]):

@@ -8,7 +8,6 @@ numbers that are estimates carry six significant figures (``_g``), and
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, Sequence, TypeAlias
 
 from .counterfactual import SpeculativeList, competition_ranks
@@ -27,6 +26,8 @@ def _g(x: float) -> float:
 
 
 def _json(payload: dict) -> str:
+    import json
+
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 

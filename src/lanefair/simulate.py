@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DEFAULT_THRESHOLD, PairObs
-from .model import fit_ml
+from .dataset import DEFAULT_THRESHOLD
+from .model import PairObs, fit_ml
 
 _X_MEAN, _X_SD = 10.1, 0.2      # 100 m passing times, seconds
 

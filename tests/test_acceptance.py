@@ -23,11 +23,11 @@ from collections import Counter
 import numpy as np
 
 from lanefair.counterfactual import round_trip, speculate
-from lanefair.dataset import PairObs, parse_olympic
+from lanefair.dataset import parse_olympic
 from lanefair.diagnostics import (adjusted_differences, clean_and_refit, outlier_scan,
                                   validate_model)
 from lanefair.meta import EventSummary, combine, cross_group_correlation, power_plan, predict_range, split_half
-from lanefair.model import build_moments, design_rows, fit_ml, gls_beta, profile_loglik
+from lanefair.model import PairObs, build_moments, design_rows, fit_ml, gls_beta, profile_loglik
 from lanefair.simulate import mc_calibration
 
 from conftest import DATA, REFERENCE_REMOVALS, YEARS

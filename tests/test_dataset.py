@@ -86,8 +86,12 @@ def test_duplicate_names_rejected():
     text = ("#event,V,1990\n"
             "A,o,9.82,35.96,ok,i,9.75,35.76,ok\n"
             "A,i,9.82,35.96,ok,o,9.75,35.76,ok\n")
-    with pytest.raises(ParseError, match="duplicate"):
+    with pytest.raises(ParseError) as parsed:
         parse_event(text)
+    skater = parse_event(text.replace("\nA,i", "\nB,i")).skaters[0]
+    with pytest.raises(ParseError) as built:
+        EventDataset("V", 1990, [skater, skater])
+    assert str(built.value) == str(parsed.value) == "duplicate skater names: ['A']"
 
 
 def test_duplicates_listed_once_each_in_a_large_field():

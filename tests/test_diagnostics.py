@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from conftest import DATA
-from lanefair.dataset import (Lane, PairObs, RunStatus, load_event, parse_event,
+from lanefair.dataset import (Lane, RunStatus, load_event, parse_event,
                               serialize_event, usable_pairs)
 from lanefair.diagnostics import (adjusted_differences, clean_and_refit,
                                   gaussian_kde_curve, outlier_scan,
                                   validate_model)
-from lanefair.model import FitResult, day_residuals, fit_ml
+from lanefair.model import FitResult, PairObs, day_residuals, fit_ml
 from lanefair.simulate import (expected_flag_rate, null_flag_rates,
                                simulate_event)
 

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from lanefair.dataset import PairObs
+from lanefair.cli import main
 from lanefair.meta import (EventSummary, MetaError, combine,
                            cross_group_correlation, heterogeneity, power_plan,
                            predict_range, read_summaries, split_half,
                            summaries_from_events)
+from lanefair.model import PairObs
 from lanefair.simulate import simulate_event
 
 from conftest import DATA
@@ -107,6 +108,20 @@ def test_heterogeneity_zero_when_estimates_identical():
 def test_heterogeneity_needs_two_events():
     with pytest.raises(MetaError):
         heterogeneity([EventSummary("a", 0.1, 0.1)], 0.1)
+
+
+def test_heterogeneity_when_one_weight_dwarfs_the_rest(capsys, tmp_path):
+    """The scale A2 - A4/A2 is 2 w1 w2/(w1 + w2) = 2.0 here; as a difference
+    of the sums it cancels to zero."""
+    rows = [EventSummary("A", 0.0, 1e-9), EventSummary("B", 3.0, 1.0)]
+    # Dispersion 9 over K - 1 = 1, so omega0^2 = 8 / 2.0.
+    assert heterogeneity(rows, combine(rows).grand_d) == pytest.approx(2.0, rel=1e-12)
+    summary = tmp_path / "summary.csv"
+    for text in ("A,0.05,1e-9\nB,0.04,1\n", "A,0.05,1e-78\nB,0.04,0.02\n"):
+        summary.write_text(text)
+        assert math.isfinite(combine(read_summaries(text)).omega0)
+        assert main(["meta", "--summary", str(summary)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 def test_heterogeneity_moment_estimator_consistent():

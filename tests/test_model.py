@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from lanefair.dataset import PairObs
 from lanefair.model import (RHO_MAX, DegenerateDesignError,
-                            InsufficientDataError, build_moments, design_rows,
-                            fit_ml, gls_beta, profile_loglik,
+                            InsufficientDataError, PairObs, build_moments,
+                            design_rows, fit_ml, gls_beta, profile_loglik,
                             q_components, variance_report)
 from lanefair.simulate import simulate_event
 
