@@ -101,6 +101,17 @@ class KdeCurve(NamedTuple):
     bandwidth: float
 
 
+def _kde_bandwidth(v: np.ndarray, bandwidth: float | str) -> float:
+    """The kernel width for values v: 1.06 s n^(-1/5) for "silverman"."""
+    if v.size < 2:
+        raise ValueError("need at least 2 values for a density estimate")
+    h = (1.06 * float(np.std(v, ddof=1)) * v.size ** (-0.2) if bandwidth == "silverman"
+         else float(bandwidth))
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {h}")
+    return h
+
+
 def gaussian_kde_curve(values: Sequence[float], bandwidth: float | str = "silverman") -> KdeCurve:
     """Gaussian-kernel density on a regular grid spanning the data +-3h.
 
@@ -108,25 +119,19 @@ def gaussian_kde_curve(values: Sequence[float], bandwidth: float | str = "silver
     deviation.
     """
     v = np.asarray(values, dtype=float)
-    if v.size < 2:
-        raise ValueError("need at least 2 values for a density estimate")
-    if bandwidth == "silverman":
-        h = 1.06 * float(np.std(v, ddof=1)) * v.size ** (-0.2)
-    else:
-        h = float(bandwidth)
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"bandwidth must be positive and finite, got {h}")
+    h = _kde_bandwidth(v, bandwidth)
     grid = np.linspace(v.min() - 3.0 * h, v.max() + 3.0 * h, _KDE_GRIDSIZE)
     density = np.empty(_KDE_GRIDSIZE)
     rows = min(_KDE_GRIDSIZE, max(1, _KDE_BLOCK // v.size))
     buf = np.empty((rows, v.size))
-    for lo in range(0, _KDE_GRIDSIZE, rows):     # each row's sum is the same, block or whole
-        z = buf[:min(rows, _KDE_GRIDSIZE - lo)]
-        np.subtract.outer(grid[lo:lo + rows], v, out=z)
-        z /= h
-        np.square(z, out=z)
-        z *= -0.5                                # exact, so the same bits as -0.5 * z * z
-        np.exp(z, out=z).sum(axis=1, out=density[lo:lo + rows])
+    with np.errstate(over="ignore"):                 # z^2 = inf for a tiny h; exp gives 0
+        for lo in range(0, _KDE_GRIDSIZE, rows):     # each row's sum is the same, block or whole
+            z = buf[:min(rows, _KDE_GRIDSIZE - lo)]
+            np.subtract.outer(grid[lo:lo + rows], v, out=z)
+            z /= h
+            np.square(z, out=z)
+            z *= -0.5                                # exact, so the same bits as -0.5 * z * z
+            np.exp(z, out=z).sum(axis=1, out=density[lo:lo + rows])
     density /= v.size * h * math.sqrt(2.0 * math.pi)
     return KdeCurve(grid, density, h)
 
@@ -138,7 +143,7 @@ class ValidationRecord(NamedTuple):
 
 
 class ValidationReport(NamedTuple):
-    """Standardized averages/differences with their normality summaries."""
+    """Standardized averages/differences, their normality summaries and lazy density curves."""
 
     records: tuple[ValidationRecord, ...]
     skew_diff: float
@@ -149,9 +154,17 @@ class ValidationReport(NamedTuple):
     band_skew: float            # 90% normal band: 1.645 sqrt(6/n)
     band_kurt: float            # 1.645 sqrt(24/n)
     band_corr: float            # 1.645 / sqrt(n)
-    kde_diff: KdeCurve
-    kde_ave: KdeCurve
+    bandwidth_diff: float       # kernel widths; each kde_* read evaluates its curve
+    bandwidth_ave: float
     n: int
+
+    @property
+    def kde_diff(self) -> KdeCurve:
+        return gaussian_kde_curve([r.diff_star for r in self.records], self.bandwidth_diff)
+
+    @property
+    def kde_ave(self) -> KdeCurve:
+        return gaussian_kde_curve([r.ave_star for r in self.records], self.bandwidth_ave)
 
 
 def _skew(v: np.ndarray) -> float:
@@ -191,8 +204,8 @@ def validate_model(pairs: Sequence[PairObs], fit: FitResult,
         band_skew=1.645 * math.sqrt(6.0 / n),
         band_kurt=1.645 * math.sqrt(24.0 / n),
         band_corr=1.645 / math.sqrt(n),
-        kde_diff=gaussian_kde_curve(diff_v, kde_bandwidth),
-        kde_ave=gaussian_kde_curve(ave_v, kde_bandwidth),
+        bandwidth_diff=_kde_bandwidth(diff_v, kde_bandwidth),
+        bandwidth_ave=_kde_bandwidth(ave_v, kde_bandwidth),
         n=n)
 
 

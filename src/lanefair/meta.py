@@ -185,15 +185,17 @@ def split_half(events: Iterable[tuple[str, Sequence[PairObs]]]) -> SplitContrast
     skaters form one group and the remainder the other.  Per-event
     contrasts d_best - d_rest are combined by inverse variance.
     """
+    import numpy as np
+
     from .model import FitError, fit_ml
 
     entries: list[SplitEntry] = []
     warnings: list[str] = []
     for label, pairs in events:
-        ranked = sorted(
-            enumerate(pairs),
-            key=lambda ip: (0.5 * (ip[1].y1 + ip[1].y2), ip[1].y1, ip[0]))
-        ordered = [p for _, p in ranked]
+        y1 = np.array([p.y1 for p in pairs])
+        y2 = np.array([p.y2 for p in pairs])
+        # lexsort is stable, so a tie in both keys keeps entry order.
+        ordered = [pairs[i] for i in np.lexsort((y1, 0.5 * (y1 + y2))).tolist()]
         n_best = len(ordered) // 2
         best, rest = ordered[:n_best], ordered[n_best:]
         if min(len(best), len(rest)) < _MIN_HALF:

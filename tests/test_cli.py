@@ -321,6 +321,8 @@ OUT_OF_RANGE = {
                  id="validate-bandwidth-abc"),
     pytest.param(("validate", str(DATA / "swc1994.csv"), "--bandwidth", "nan"), 5,
                  id="validate-bandwidth-nan"),
+    pytest.param(("validate", str(DATA / "swc1994.csv"), "--bandwidth", "0"), 5,
+                 id="validate-bandwidth-zero"),
     pytest.param(("power", "--sigma", "nan", "--se", "0.02"), 5, id="power-sigma-nan"),
     pytest.param(("mc", "--n", "6", "--reps", "5", "--sigma", "0"), 5, id="mc-sigma-zero"),
     *(pytest.param((*argv, "--format", fmt), code, id=f"{name}-{fmt}")

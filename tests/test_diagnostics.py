@@ -3,11 +3,13 @@ from __future__ import annotations
 import copy
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import DATA
+from lanefair import diagnostics
 from lanefair.dataset import (Lane, RunStatus, load_event, parse_event,
                               serialize_event, usable_pairs)
 from lanefair.diagnostics import (adjusted_differences, clean_and_refit,
@@ -308,6 +310,15 @@ def test_kde_fixed_bandwidth():
         gaussian_kde_curve(v, bandwidth=0.0)
 
 
+def _one_shot_kde(v, h):
+    """Grid and density of the Gaussian KDE from one n-by-grid array."""
+    grid = np.linspace(v.min() - 3.0 * h, v.max() + 3.0 * h, 512)
+    with np.errstate(over="ignore"):
+        z = (grid[:, None] - v[None, :]) / h
+        density = np.exp(-0.5 * z * z).sum(axis=1) / (v.size * h * math.sqrt(2.0 * math.pi))
+    return grid, density
+
+
 @pytest.mark.parametrize("n", [2, 28, 250, 2500, 20_000])
 @pytest.mark.parametrize("bandwidth", ["silverman", 0.4])
 def test_kde_equals_one_shot_evaluation(n, bandwidth):
@@ -316,12 +327,49 @@ def test_kde_equals_one_shot_evaluation(n, bandwidth):
     curve = gaussian_kde_curve(v, bandwidth)
     h = (1.06 * float(np.std(v, ddof=1)) * n ** (-0.2) if bandwidth == "silverman"
          else bandwidth)
-    grid = np.linspace(v.min() - 3.0 * h, v.max() + 3.0 * h, 512)
-    z = (grid[:, None] - v[None, :]) / h
-    reference = np.exp(-0.5 * z * z).sum(axis=1) / (n * h * math.sqrt(2.0 * math.pi))
+    grid, reference = _one_shot_kde(v, h)
     assert curve.bandwidth == h
     assert np.array_equal(curve.grid, grid)
     assert np.array_equal(curve.density, reference)
+
+
+def test_kde_tiny_bandwidth_warns_nothing():
+    """z^2 overflows to inf at h = 1e-160; exp(-inf) = 0 is the right kernel value."""
+    v = np.random.default_rng(7).standard_normal(60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = gaussian_kde_curve(v, 1e-160)
+    grid, reference = _one_shot_kde(v, 1e-160)
+    assert np.array_equal(curve.grid, grid)
+    assert np.array_equal(curve.density, reference)
+
+
+def test_validate_model_evaluates_curves_only_when_read(pipeline, monkeypatch):
+    calls = []
+    real = diagnostics.gaussian_kde_curve
+    monkeypatch.setattr(diagnostics, "gaussian_kde_curve",
+                        lambda *args: calls.append(args) or real(*args))
+    rep = validate_model(pipeline[1994].pairs_clean, pipeline[1994].fit)
+    assert calls == []
+    rep.kde_diff
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bandwidth", [0.0, -1.0, math.nan, math.inf])
+def test_validate_model_rejects_bandwidth_at_the_call(pipeline, bandwidth):
+    with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+        validate_model(pipeline[1994].pairs_clean, pipeline[1994].fit, bandwidth)
+
+
+@pytest.mark.parametrize("bandwidth", ["silverman", 0.4])
+def test_report_curves_equal_the_star_values_curves(pipeline, bandwidth):
+    rep = validate_model(pipeline[1994].pairs_clean, pipeline[1994].fit, bandwidth)
+    for curve, values in ((rep.kde_diff, [r.diff_star for r in rep.records]),
+                          (rep.kde_ave, [r.ave_star for r in rep.records])):
+        direct = gaussian_kde_curve(values, bandwidth)
+        assert curve.bandwidth == direct.bandwidth
+        assert np.array_equal(curve.grid, direct.grid)
+        assert np.array_equal(curve.density, direct.density)
 
 
 def test_adjusted_differences_counts(pipeline):

@@ -1,16 +1,18 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from lanefair import model
 from lanefair.cli import main
-from lanefair.meta import (EventSummary, MetaError, combine,
-                           cross_group_correlation, heterogeneity, power_plan,
-                           predict_range, read_summaries, split_half,
+from lanefair.meta import (EventSummary, MetaError, SplitContrast, SplitEntry,
+                           combine, cross_group_correlation, heterogeneity,
+                           power_plan, predict_range, read_summaries, split_half,
                            summaries_from_events)
-from lanefair.model import PairObs
+from lanefair.model import PairObs, fit_ml
 from lanefair.simulate import simulate_event
 
 from conftest import DATA
@@ -217,6 +219,38 @@ def test_split_half_recovers_injected_contrast():
         events.append((str(k), best + rest))
     contrast = split_half(events)
     assert abs(contrast.combined_delta - (-0.1)) <= 3.0 * contrast.combined_se
+
+
+def _halves_by_sort_key(pairs):
+    """Best and rest halves ranked by sorted() on (average, day-1 time, entry index)."""
+    ranked = sorted(enumerate(pairs),
+                    key=lambda ip: (0.5 * (ip[1].y1 + ip[1].y2), ip[1].y1, ip[0]))
+    ordered = [p for _, p in ranked]
+    return ordered[:len(ordered) // 2], ordered[len(ordered) // 2:]
+
+
+def test_split_half_ranks_ties_like_the_sort_key(monkeypatch):
+    rng = np.random.default_rng(19)
+    times = rng.choice([39.0, 39.5, 40.0, 40.5, 41.0], size=(16, 2))   # ties in both keys
+    pairs = [PairObs(f"S{i}", 10.0, y1, 10.1, y2, 0.5 - i % 2) for i, (y1, y2) in
+             enumerate(times.tolist())]
+    fitted = []
+    monkeypatch.setattr(model, "fit_ml",
+                        lambda ps: fitted.append(list(ps)) or SimpleNamespace(d=0.0, se_d=1.0))
+    split_half([("ties", pairs)])
+    assert fitted == [*_halves_by_sort_key(pairs)]
+
+
+def test_split_half_on_bundled_events_matches_the_sort_key(pipeline):
+    events = [(str(y), c.pairs_clean) for y, c in pipeline.items()]
+    entries = []
+    for label, pairs in events:
+        best, rest = (fit_ml(half) for half in _halves_by_sort_key(pairs))
+        entries.append(SplitEntry(label, best.d, best.se_d, rest.d, rest.se_d))
+    pooled = combine([EventSummary(e.label, e.d_best - e.d_rest, math.hypot(e.se_best, e.se_rest))
+                      for e in entries])
+    assert split_half(events) == SplitContrast(tuple(entries), pooled.grand_d,
+                                               pooled.grand_se, ())
 
 
 def test_split_half_skips_tiny_events(pipeline):
