@@ -6,7 +6,8 @@ outside normal bounds in magnitude; the default threshold is 2.75.  The
 magnitude rule is deliberate: a run can be anomalous in either direction
 (a skater whose finishing times are far better than his passing times
 predict is as suspect a data point as the reverse), and the historical
-removal rosters for the bundled championships require it.
+removal rosters for the bundled championships require it.  The outlier and
+validation reports keep per-skater values as read-only columns and build records when read.
 """
 
 from __future__ import annotations
@@ -39,12 +40,26 @@ class OutlierRecord(NamedTuple):
 
 
 class OutlierReport(NamedTuple):
-    records: tuple[OutlierRecord, ...]
+    names: tuple[str, ...]
+    t1: np.ndarray
+    t2: np.ndarray
+    t3: np.ndarray
+    codes: np.ndarray           # flag code T1 + 2 T2 + 4 T3 per skater
     threshold: float
 
     @property
+    def records(self) -> tuple[OutlierRecord, ...]:
+        return tuple(map(OutlierRecord, self.names, self.t1.tolist(), self.t2.tolist(),
+                         self.t3.tolist(), [_FLAG_TAGS[c] for c in self.codes.tolist()]))
+
+    @property
     def flagged_names(self) -> list[str]:
-        return [r.name for r in self.records if r.flagged]
+        return [self.names[i] for i in np.flatnonzero(self.codes).tolist()]
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
 
 
 def outlier_scan(pairs: Sequence[PairObs], fit: FitResult,
@@ -62,10 +77,9 @@ def outlier_scan(pairs: Sequence[PairObs], fit: FitResult,
     t1, t2 = r1 / marginal, r2 / marginal
     t3 = (r2 - r1) / (math.sqrt(2.0) * fit.sigma_un)
     codes = ((np.abs(t1) > threshold) + 2 * (np.abs(t2) > threshold)
-             + 4 * (np.abs(t3) >= threshold)).tolist()
-    records = map(OutlierRecord, [p.name for p in pairs], t1.tolist(), t2.tolist(), t3.tolist(),
-                  [_FLAG_TAGS[c] for c in codes])
-    return OutlierReport(tuple(records), threshold)
+             + 4 * (np.abs(t3) >= threshold))
+    _read_only(t1, t2, t3, codes)
+    return OutlierReport(tuple([p.name for p in pairs]), t1, t2, t3, codes, threshold)
 
 
 class CleanedFit(NamedTuple):
@@ -89,10 +103,11 @@ def clean_and_refit(pairs: Sequence[PairObs], threshold: float = DEFAULT_THRESHO
     """
     first = fit_ml(pairs)
     report = outlier_scan(pairs, first, threshold)
-    removed = set(report.flagged_names)
+    flagged = report.flagged_names
+    removed = set(flagged)
     kept = tuple(p for p in pairs if p.name not in removed)
     final = fit_ml(kept) if removed else first
-    return CleanedFit(first, report, tuple(report.flagged_names), kept, final, tuple(warnings))
+    return CleanedFit(first, report, tuple(flagged), kept, final, tuple(warnings))
 
 
 class KdeCurve(NamedTuple):
@@ -145,7 +160,9 @@ class ValidationRecord(NamedTuple):
 class ValidationReport(NamedTuple):
     """Standardized averages/differences, their normality summaries and lazy density curves."""
 
-    records: tuple[ValidationRecord, ...]
+    names: tuple[str, ...]
+    ave_star: np.ndarray
+    diff_star: np.ndarray
     skew_diff: float
     skew_ave: float
     kurt_diff: float            # excess
@@ -159,12 +176,17 @@ class ValidationReport(NamedTuple):
     n: int
 
     @property
+    def records(self) -> tuple[ValidationRecord, ...]:
+        return tuple(map(ValidationRecord, self.names, self.ave_star.tolist(),
+                         self.diff_star.tolist()))
+
+    @property
     def kde_diff(self) -> KdeCurve:
-        return gaussian_kde_curve([r.diff_star for r in self.records], self.bandwidth_diff)
+        return gaussian_kde_curve(self.diff_star, self.bandwidth_diff)
 
     @property
     def kde_ave(self) -> KdeCurve:
-        return gaussian_kde_curve([r.ave_star for r in self.records], self.bandwidth_ave)
+        return gaussian_kde_curve(self.ave_star, self.bandwidth_ave)
 
 
 def _skew(v: np.ndarray) -> float:
@@ -194,10 +216,9 @@ def validate_model(pairs: Sequence[PairObs], fit: FitResult,
     r1, r2 = day_residuals(pairs, fit.beta)
     ave_v = 0.5 * (r1 + r2) / math.sqrt(fit.kappa_un ** 2 + fit.sigma_un ** 2 / 2.0)
     diff_v = (r2 - r1) / (math.sqrt(2.0) * fit.sigma_un)
-    records = tuple(map(ValidationRecord, [p.name for p in pairs], ave_v.tolist(),
-                        diff_v.tolist()))
+    _read_only(ave_v, diff_v)
     return ValidationReport(
-        records=records,
+        names=tuple([p.name for p in pairs]), ave_star=ave_v, diff_star=diff_v,
         skew_diff=_skew(diff_v), skew_ave=_skew(ave_v),
         kurt_diff=_kurt(diff_v), kurt_ave=_kurt(ave_v),
         corr=float(np.corrcoef(ave_v, diff_v)[0, 1]),

@@ -232,13 +232,14 @@ def summaries_from_events(cleaned: Iterable[tuple[str, Sequence[PairObs]]],
 def read_summaries(text: str) -> list[EventSummary]:
     """Parse a summary CSV: ``label,d,se`` rows (or bare ``d,se``).
 
-    A header row is detected by a non-numeric trailing field and skipped.
+    Only the first row that is not blank or a comment may be a header (non-numeric d/se).
     """
-    out = []
+    out, first = [], True
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        header, first = first, False
         fields = [f.strip() for f in line.split(",")]
         if len(fields) == 2:
             fields = [f"event {lineno}", *fields]
@@ -247,8 +248,8 @@ def read_summaries(text: str) -> list[EventSummary]:
         try:
             d, se = float(fields[1]), float(fields[2])
         except ValueError:
-            if lineno == 1:
-                continue        # header
+            if header:
+                continue
             raise MetaError(f"line {lineno}: non-numeric d/se") from None
         out.append(EventSummary(fields[0], d, se))
     if not out:

@@ -144,6 +144,26 @@ def test_meta_from_summary_csv(capsys):
     assert abs(grand["se"] - 0.020) <= 0.001
 
 
+@pytest.mark.parametrize("lead", ["# women 500 m\n", "\n", " \n# women 500 m\n\n"])
+def test_summary_header_after_comment_or_blank_lines(capsys, tmp_path, lead):
+    women = DATA / "summaries_women.csv"
+    summary = tmp_path / "summary.csv"
+    summary.write_text(lead + women.read_text(encoding="utf-8"), encoding="utf-8")
+    for fmt in ("text", "json"):
+        code, want, _ = run(capsys, "meta", "--summary", str(women), "--format", fmt)
+        assert code == 0
+        assert run(capsys, "meta", "--summary", str(summary), "--format", fmt) == (0, want, "")
+
+
+@pytest.mark.parametrize("text", ["A,0.1,0.05\nlabel,d,se\n", "# c\n\nA,0.1,0.05\nB,x,0.05\n",
+                                  "label,d,se\nA,0.1,0.05\nlabel,d,se\n"])
+def test_summary_non_numeric_row_after_first_data_row_exits_4(capsys, tmp_path, text):
+    summary = tmp_path / "summary.csv"
+    summary.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "meta", "--summary", str(summary))
+    assert (code, out) == (4, "") and err.endswith("non-numeric d/se\n")
+
+
 def test_meta_single_event_equals_event(capsys):
     code, out, _ = run(capsys, "meta", str(DATA / "swc1989.csv"), "--format", "json")
     assert code == 0

@@ -86,13 +86,53 @@ def test_every_flag_combination_is_tagged_in_order():
 
 def test_records_cannot_be_assigned(pipeline):
     cleaned = pipeline[1994]
-    records = (cleaned.report.records[0],
-               validate_model(cleaned.pairs_clean, cleaned.fit).records[0],
-               adjusted_differences(cleaned.pairs_clean).records[0])
-    for record in records:
+    reports = (cleaned.report, validate_model(cleaned.pairs_clean, cleaned.fit),
+               adjusted_differences(cleaned.pairs_clean))
+    for report, n_columns in zip(reports, (4, 2, 0)):
+        record = report.records[0]
         for name in record._fields:
             with pytest.raises(AttributeError):
                 setattr(record, name, getattr(record, name))
+        columns = [v for v in report if isinstance(v, np.ndarray)]
+        assert len(columns) == n_columns
+        for column in columns:
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[0]
+
+
+def test_records_are_built_only_when_read(usable, monkeypatch):
+    built = {}
+    for name in ("OutlierRecord", "ValidationRecord", "AdjustedDiffRecord"):
+        def counting(*fields, record=getattr(diagnostics, name), name=name):
+            built[name] = built.get(name, 0) + 1
+            return record(*fields)
+        monkeypatch.setattr(diagnostics, name, counting)
+    pairs, warns = usable[1994]
+    cleaned = clean_and_refit(pairs, warnings=warns)
+    kept = cleaned.pairs_clean
+    rep = validate_model(kept, cleaned.fit)
+    assert cleaned.removed and rep.kde_diff and rep.kde_ave
+    assert built == {}
+    assert len(cleaned.report.records) - 2 == len(rep.records) == 28
+    assert built == {"OutlierRecord": len(pairs), "ValidationRecord": len(kept)}
+    # adjusted differences are always rendered, so their records stay eager
+    assert len(adjusted_differences(kept).records) == built["AdjustedDiffRecord"] == 28
+
+
+def test_reports_with_columns_compare_by_records(usable):
+    """Reports holding arrays are neither comparable with == nor hashable;
+    their records are both."""
+    pairs, warns = usable[1994]
+    a, b = (clean_and_refit(pairs, warnings=warns) for _ in range(2))
+    reports = ((a.report, b.report), (validate_model(a.pairs_clean, a.fit),
+                                      validate_model(b.pairs_clean, b.fit)))
+    for one, other in reports:
+        assert one.records == other.records
+        assert hash(one.records) == hash(other.records)
+        with pytest.raises(ValueError, match="ambiguous"):
+            one == other
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(one)
 
 
 def _large_field_text(n=2500, seed=5):
@@ -157,6 +197,21 @@ def _reference_flags(pairs, fit, threshold=2.75):
         if hit)) for p, a, b, c in zip(pairs, t1.tolist(), t2.tolist(), t3.tolist())]
 
 
+def _reference_validation(pairs, fit):
+    r1, r2 = day_residuals(pairs, fit.beta)
+    ave = 0.5 * (r1 + r2) / math.sqrt(fit.kappa_un ** 2 + fit.sigma_un ** 2 / 2.0)
+    diff = (r2 - r1) / (math.sqrt(2.0) * fit.sigma_un)
+    return list(zip([p.name for p in pairs], ave.tolist(), diff.tolist()))
+
+
+def _reference_adjusted(pairs):
+    fit0 = fit_ml(pairs, constraint="d_equals_zero")
+    r1, r2 = day_residuals(pairs, fit0.beta)
+    D = r2 - r1
+    star = D / (math.sqrt(2.0) * fit0.sigma_un)
+    return [(p.name, p.w, dd, ds_) for p, dd, ds_ in zip(pairs, D.tolist(), star.tolist())]
+
+
 def test_large_field_matches_the_frozen_dataclass_reference():
     text = _large_field_text()
     ds = parse_event(text)
@@ -175,19 +230,34 @@ def test_large_field_matches_the_frozen_dataclass_reference():
     assert cleaned.pairs_clean == kept
     assert np.array_equal(cleaned.fit.beta, fit_ml(kept).beta)
 
-    fit = cleaned.fit
-    r1, r2 = day_residuals(kept, fit.beta)
-    ave = 0.5 * (r1 + r2) / math.sqrt(fit.kappa_un ** 2 + fit.sigma_un ** 2 / 2.0)
-    diff = (r2 - r1) / (math.sqrt(2.0) * fit.sigma_un)
-    assert [tuple(r) for r in validate_model(kept, fit).records] == list(
-        zip([p.name for p in kept], ave.tolist(), diff.tolist()))
+    assert [tuple(r) for r in validate_model(kept, cleaned.fit).records] == (
+        _reference_validation(kept, cleaned.fit))
+    assert [tuple(r) for r in adjusted_differences(kept).records] == _reference_adjusted(kept)
 
-    ad = adjusted_differences(kept)
-    r1, r2 = day_residuals(kept, fit_ml(kept, constraint="d_equals_zero").beta)
-    D = r2 - r1
-    star = D / (math.sqrt(2.0) * ad.fit_zero_d.sigma_un)
-    assert [tuple(r) for r in ad.records] == [(p.name, p.w, dd, ds_) for p, dd, ds_ in zip(
-        kept, D.tolist(), star.tolist())]
+
+@pytest.mark.parametrize("source", ["swc", "large field"])
+def test_records_and_curves_built_on_read_match_the_eager_build(usable, source):
+    """Records, flagged names and curves equal those built eagerly from the
+    names and the tolist() of independently recomputed residual statistics."""
+    events = (usable.values() if source == "swc"
+              else [usable_pairs(parse_event(_large_field_text()))])
+    for pairs, warnings in events:
+        cleaned = clean_and_refit(pairs, warnings=warnings)
+        flags = _reference_flags(pairs, fit_ml(pairs))
+        assert [tuple(r) for r in cleaned.report.records] == flags
+        assert cleaned.report.flagged_names == [name for name, *_, tags in flags if tags]
+        kept = cleaned.pairs_clean
+        rep = validate_model(kept, cleaned.fit)
+        eager = _reference_validation(kept, cleaned.fit)
+        assert [tuple(r) for r in rep.records] == eager
+        _, ave, diff = zip(*eager)
+        for curve, values in ((rep.kde_ave, ave), (rep.kde_diff, diff)):
+            direct = gaussian_kde_curve(list(values))
+            assert curve.bandwidth == direct.bandwidth
+            assert np.array_equal(curve.grid, direct.grid)
+            assert np.array_equal(curve.density, direct.density)
+        assert [tuple(r) for r in adjusted_differences(kept).records] == (
+            _reference_adjusted(kept))
 
 
 def test_screening_rosters_per_event(pipeline):
