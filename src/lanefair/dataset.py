@@ -16,7 +16,7 @@ converts to float.
 from __future__ import annotations
 
 import enum
-from collections import Counter
+from collections import Counter, namedtuple
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:       # importing model loads numpy; usable_pairs does so when called
@@ -91,17 +91,29 @@ class SkaterPair(NamedTuple):
         return self.day1.complete and self.day2.complete
 
 
-class EventDataset(NamedTuple("EventDataset", [("venue", str), ("year", int),
-                                               ("skaters", list[SkaterPair])])):
-    """One championship: metadata plus all skater pairs, in entry order."""
+class EventDataset(namedtuple("EventDataset", "venue year names day1 day2 notes")):
+    """One championship: metadata plus the skaters as columns, in entry order.  Each
+    day is a (lane, t100_cs, t500_cs, status) tuple of columns; ``skaters`` builds records."""
 
     __slots__ = ()
 
     def __new__(cls, venue: str, year: int, skaters: list[SkaterPair]):
-        dupes = sorted(n for n, k in Counter(s.name for s in skaters).items() if k > 1)
-        if dupes:
+        return cls._from_rows(venue, year, [(s.name, *s.day1, *s.day2, s.note) for s in skaters])
+
+    @classmethod
+    def _from_rows(cls, venue: str, year: int, rows: list) -> EventDataset:
+        names, *days, notes = zip(*rows) if rows else ((),) * 10
+        if dupes := sorted(n for n, k in Counter(names).items() if k > 1):
             raise ParseError(f"duplicate skater names: {dupes}")
-        return super().__new__(cls, venue, year, skaters)
+        return cls._make((venue, year, names, tuple(days[:4]), tuple(days[4:]), notes))
+
+    def __getnewargs__(self):                   # copy and pickle rebuild through __new__
+        return self.venue, self.year, self.skaters
+
+    @property
+    def skaters(self) -> list[SkaterPair]:
+        return list(map(SkaterPair, self.names, map(Run, *self.day1), map(Run, *self.day2),
+                        self.notes))
 
     @property
     def label(self) -> str:
@@ -166,62 +178,51 @@ def format_time(cs: int | None) -> str:
     return "" if cs is None else f"{cs // 100}.{cs % 100:02d}"
 
 
-def _parse_run(fields: list[str], line: int, times: dict[str, int | None]) -> Run:
-    """One run's four tokens; ``times`` memoizes each valid time token of the file."""
-    lane_tok, t100_tok, t500_tok, status_tok = fields
-    lane, status = _lane_status(lane_tok, status_tok, line)
-    t100 = times[t100_tok] if t100_tok in times else times.setdefault(
-        t100_tok, _parse_time(t100_tok, line))
-    t500 = times[t500_tok] if t500_tok in times else times.setdefault(
-        t500_tok, _parse_time(t500_tok, line))
-    if status is _OK:
-        if t100 is None or t500 is None:
-            raise ParseError("status ok requires both times", line)
-        if t500 <= t100:
-            raise ParseError("500 m time must exceed 100 m time", line)
-    elif t500 is not None:
-        raise ParseError(f"status {status.value!r} cannot carry a 500 m time", line)
-    return Run(lane, t100, t500, status)
-
-
 def parse_event(text: str) -> EventDataset:
-    """Parse a championship result file into an EventDataset.
-
-    Row order, lanes, statuses and times are preserved exactly.
-    """
+    """Parse a championship result file into an EventDataset; row order,
+    lanes, statuses and times are preserved exactly."""
     lines = text.splitlines()
     header = _parse_header(lines)
     if header is None:
         raise ParseError("missing '#event,<venue>,<year>' header", 1)
-    skaters, times = [], {}
+    rows, times, tokens = [], {}, {}    # tokens: each (lane, status) pair validated once
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
         fields = raw.split(",")
-        if len(fields) not in (9, 10):
-            raise ParseError(f"expected 9 or 10 comma-separated fields, got {len(fields)}",
-                             lineno)
-        name = fields[0].strip()
-        if not name:
+        if (n := len(fields)) not in (9, 10):
+            raise ParseError(f"expected 9 or 10 comma-separated fields, got {n}", lineno)
+        row = [fields[0].strip()]
+        if not row[0]:
             raise ParseError("empty skater name", lineno)
-        day1 = _parse_run(fields[1:5], lineno, times)
-        day2 = _parse_run(fields[5:9], lineno, times)
-        note = fields[9].strip() if len(fields) == 10 else ""
-        skaters.append(SkaterPair(name, day1, day2, note))
-    return EventDataset(*header, skaters)
+        for lane_tok, t100_tok, t500_tok, status_tok in (fields[1:5], fields[5:9]):
+            key = lane_tok, status_tok
+            lane, status = tokens.get(key) or tokens.setdefault(key, _lane_status(*key, lineno))
+            t100 = times[t100_tok] if t100_tok in times else times.setdefault(
+                t100_tok, _parse_time(t100_tok, lineno))
+            t500 = times[t500_tok] if t500_tok in times else times.setdefault(
+                t500_tok, _parse_time(t500_tok, lineno))
+            if status is _OK:
+                if t100 is None or t500 is None:
+                    raise ParseError("status ok requires both times", lineno)
+                if t500 <= t100:
+                    raise ParseError("500 m time must exceed 100 m time", lineno)
+            elif t500 is not None:
+                raise ParseError(f"status {status.value!r} cannot carry a 500 m time", lineno)
+            row += lane, t100, t500, status
+        row.append(fields[9].strip() if n == 10 else "")
+        rows.append(row)
+    return EventDataset._from_rows(*header, rows)
 
 
 def serialize_event(ds: EventDataset) -> str:
     """Inverse of parse_event (byte-exact round trip for canonical files)."""
     lines = [f"#event,{ds.venue},{ds.year}"]
-    for s in ds.skaters:
-        row = [s.name]
-        for run in (s.day1, s.day2):
-            row += [run.lane.value, format_time(run.t100_cs), format_time(run.t500_cs),
-                    run.status.value]
-        if s.note:
-            row.append(s.note)
-        lines.append(",".join(row))
+    for name, lane1, x1, y1, status1, lane2, x2, y2, status2, note in zip(
+            ds.names, *ds.day1, *ds.day2, ds.notes):
+        lines.append(",".join([name, lane1.value, format_time(x1), format_time(y1),
+                               status1.value, lane2.value, format_time(x2), format_time(y2),
+                               status2.value] + ([note] if note else [])))
     return "\n".join(lines) + "\n"
 
 
@@ -274,17 +275,17 @@ def usable_pairs(ds: EventDataset, lane_policy: str = "warn_day1",
         raise ValueError(f"unknown lane policy {lane_policy!r}")
     out: list[PairObs] = []
     warnings: list[str] = []
-    for s in ds.skaters:
-        (lane1, x1, y1, status1), (lane2, x2, y2, status2) = s.day1, s.day2
+    for name, lane1, x1, y1, status1, lane2, x2, y2, status2 in zip(
+            ds.names, *ds.day1, *ds.day2):
         if not (status1 is status2 is _OK and None not in (x1, y1, x2, y2)):
             continue
         if lane1 is lane2:
             warnings.append(
-                f"{s.name}: same starting lane on both days"
+                f"{name}: same starting lane on both days"
                 + (" (kept, w from day 1)" if lane_policy == "warn_day1" else " (dropped)"))
             if lane_policy == "strict":
                 continue
-        out.append(PairObs(s.name, x1 / 100.0, y1 / 100.0, x2 / 100.0, y2 / 100.0,
+        out.append(PairObs(name, x1 / 100.0, y1 / 100.0, x2 / 100.0, y2 / 100.0,
                            0.5 if lane1 is _OUTER else -0.5))
     return out, warnings
 

@@ -189,16 +189,12 @@ class ValidationReport(NamedTuple):
         return gaussian_kde_curve(self.ave_star, self.bandwidth_ave)
 
 
-def _skew(v: np.ndarray) -> float:
+def _skew_kurt(v: np.ndarray) -> tuple[float, float]:
+    """Skewness and excess kurtosis, from products: c ** 4 calls libm pow per element."""
     c = v - v.mean()
-    m2 = float((c ** 2).mean())
-    return float((c ** 3).mean()) / m2 ** 1.5
-
-
-def _kurt(v: np.ndarray) -> float:
-    c = v - v.mean()
-    m2 = float((c ** 2).mean())
-    return float((c ** 4).mean()) / m2 ** 2 - 3.0
+    c2 = c * c
+    m2 = float(c2.mean())
+    return float((c2 * c).mean()) / m2 ** 1.5, float((c2 * c2).mean()) / m2 ** 2 - 3.0
 
 
 def validate_model(pairs: Sequence[PairObs], fit: FitResult,
@@ -217,10 +213,10 @@ def validate_model(pairs: Sequence[PairObs], fit: FitResult,
     ave_v = 0.5 * (r1 + r2) / math.sqrt(fit.kappa_un ** 2 + fit.sigma_un ** 2 / 2.0)
     diff_v = (r2 - r1) / (math.sqrt(2.0) * fit.sigma_un)
     _read_only(ave_v, diff_v)
+    (skew_diff, kurt_diff), (skew_ave, kurt_ave) = map(_skew_kurt, (diff_v, ave_v))
     return ValidationReport(
         names=tuple([p.name for p in pairs]), ave_star=ave_v, diff_star=diff_v,
-        skew_diff=_skew(diff_v), skew_ave=_skew(ave_v),
-        kurt_diff=_kurt(diff_v), kurt_ave=_kurt(ave_v),
+        skew_diff=skew_diff, skew_ave=skew_ave, kurt_diff=kurt_diff, kurt_ave=kurt_ave,
         corr=float(np.corrcoef(ave_v, diff_v)[0, 1]),
         band_skew=1.645 * math.sqrt(6.0 / n),
         band_kurt=1.645 * math.sqrt(24.0 / n),

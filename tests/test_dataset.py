@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
 import sys
 
 import pytest
@@ -72,6 +75,47 @@ def test_a_seen_time_is_still_checked_against_its_status():
     with pytest.raises(ParseError) as err:
         parse_event(text)
     assert str(err.value) == "line 3: status 'dnf' cannot carry a 500 m time"
+
+
+# Rows that fill both memos (times and (lane, status) token pairs) before the
+# malformed row, which is line 6 after the header, three rows and a blank line.
+WARM_ROWS = ("A,o,9.82,35.96,ok,i,9.75,35.76,ok\n"
+             "B,i,9.90,36.10,ok,o,9.82,35.96,ok\n"
+             "\n"
+             "C,o,9.75,,fell,i,,,dns\n")
+
+
+@pytest.mark.parametrize("row,message", [
+    ("X,x,9.82,35.96,ok,i,9.75,35.76,ok", "lane token 'x' outside {i, o}"),
+    ("X,o,9.82,35.96,ok, x,9.75,35.76,ok", "lane token ' x' outside {i, o}"),
+    ("X,o,9.82,35.96,ok,i,9.75,35.76,great", "unknown status 'great'"),
+    ("X,x,9.82,35.96,great,i,9.75,35.76,ok", "lane token 'x' outside {i, o}"),
+    ("X,o,,35.96,ok,i,9.75,35.76,ok", "status ok requires both times"),
+    ("X,o,9.82,35.96,ok,i,9.75,,ok", "status ok requires both times"),
+    ("X,o,35.96,9.82,ok,i,9.75,35.76,ok", "500 m time must exceed 100 m time"),
+    ("X,o,9.82,9.82,ok,i,9.75,35.76,ok", "500 m time must exceed 100 m time"),
+    ("X,o,9.82,35.96,fell,i,9.75,35.76,ok", "status 'fell' cannot carry a 500 m time"),
+    ("X,o,9.82,35.96,ok,i,,35.76,dns", "status 'dns' cannot carry a 500 m time"),
+    ("X,o,9.82,35.96,ok,i,9.75,35.76", "expected 9 or 10 comma-separated fields, got 8"),
+    ("X,o,9.82,35.96,ok,i,9.75,35.76,ok,n,x",
+     "expected 9 or 10 comma-separated fields, got 11"),
+    (" ,o,9.82,35.96,ok,i,9.75,35.76,ok", "empty skater name"),
+])
+def test_malformed_row_after_warm_memos(row, message):
+    with pytest.raises(ParseError) as err:
+        parse_event(f"#event,V,1990\n{WARM_ROWS}{row}\nD,o,9.82,35.96,ok,i,9.75,35.76,ok\n")
+    assert str(err.value) == f"line 6: {message}"
+    assert err.value.line == 6
+
+
+def test_padded_lane_and_duplicate_name_after_warm_memos():
+    padded = parse_event(f"#event,V,1990\n{WARM_ROWS}X, o,9.82,35.96,ok,i ,9.75,35.76,ok\n")
+    assert padded.skaters[-1].day1.lane is Lane.OUTER_START
+    assert padded.skaters[-1].day2.lane is Lane.INNER_START
+    with pytest.raises(ParseError) as err:
+        parse_event(f"#event,V,1990\n{WARM_ROWS}B,o,9.82,35.96,ok,i,9.75,35.76,ok\n")
+    assert str(err.value) == "duplicate skater names: ['B']"
+    assert err.value.line is None
 
 
 def test_run_fields_cannot_be_assigned():
@@ -237,3 +281,66 @@ def test_time_with_a_non_ascii_digit_is_rejected(ds, data):
     lines[row] = ",".join(fields)
     with pytest.raises(ParseError, match=f"line {row + 1}: time"):
         parse_event("\n".join(lines) + "\n")
+
+
+def _eager_reference_parse(text):
+    """SkaterPair records built row by row from a canonical event file."""
+    def cs(token):
+        return None if not token else round(float(token) * 100)
+
+    def run(lane, t100, t500, status):
+        return Run(Lane(lane), cs(t100), cs(t500), RunStatus(status))
+
+    skaters = []
+    for raw in text.splitlines()[1:]:
+        fields = raw.split(",")
+        skaters.append(SkaterPair(fields[0], run(*fields[1:5]), run(*fields[5:9]),
+                                  fields[9] if len(fields) == 10 else ""))
+    return skaters
+
+
+@pytest.mark.parametrize("source", [*(p.name for p in sorted(DATA.glob("swc*.csv"))),
+                                    "large field"])
+def test_skaters_built_on_read_match_an_eager_parse(source):
+    from test_diagnostics import _large_field_text
+
+    text = (_large_field_text() if source == "large field"
+            else (DATA / source).read_text(encoding="utf-8"))
+    ds = parse_event(text)
+    assert ds.skaters == _eager_reference_parse(text)
+    assert EventDataset(ds.venue, ds.year, ds.skaters) == ds
+    assert copy.copy(ds) == pickle.loads(pickle.dumps(ds)) == ds
+
+
+def test_header_only_event_has_empty_columns():
+    ds = parse_event("#event,V,1990\n")
+    assert ds == EventDataset("V", 1990, []) and ds.skaters == []
+    assert serialize_event(ds) == "#event,V,1990\n" and usable_pairs(ds) == ([], [])
+
+
+def test_event_fields_are_the_columns():
+    ds = parse_event("#event,V,1990\nA,o,9.82,35.96,ok,i,9.75,35.76,ok\n")
+    assert ds._fields == ("venue", "year", "names", "day1", "day2", "notes")
+    assert len(ds) == 6
+    assert ds.day1 == ((Lane.OUTER_START,), (982,), (3596,), (RunStatus.OK,))
+    with pytest.raises(ValueError):
+        ds._replace(skaters=ds.skaters)
+    ds.skaters.clear()
+    assert len(ds.skaters) == 1
+
+
+def test_parse_allocates_no_record_per_row():
+    from test_diagnostics import _large_field_text
+
+    text = _large_field_text()
+    parse_event(text)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        ds = parse_event(text)
+        added = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert added < 100, f"{added} objects kept by one parse"
+    assert len(ds.skaters) == 2500
