@@ -8,15 +8,14 @@ patched here too.
 from importlib import import_module
 
 _HOMES = {
-    "counterfactual": "SpeculativeList round_trip speculate",
+    "counterfactual": "SpeculativeList speculate",
     "dataset": "EventDataset Lane OlympicEntry ParseError Run RunStatus SkaterPair"
-               " load_event parse_event parse_olympic serialize_event usable_pairs",
+               " load_event parse_event parse_olympic usable_pairs",
     "diagnostics": "AdjustedDiffs CleanedFit OutlierReport ValidationReport adjusted_differences"
                    " clean_and_refit gaussian_kde_curve outlier_scan validate_model",
     "meta": "EventSummary MetaResult PowerSpec SplitContrast combine cross_group_correlation"
             " heterogeneity power_plan predict_range read_summaries split_half",
-    "model": "FitError FitResult MomentMatrices PairObs VarianceReport build_moments fit_ml"
-             " gls_beta profile_loglik q_components variance_report",
+    "model": "FitError FitResult MomentMatrices PairObs build_moments fit_ml gls_beta profile_loglik",
     "simulate": "mc_calibration simulate_event",
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names.split()}

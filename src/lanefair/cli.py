@@ -119,7 +119,8 @@ def cmd_speculate(args) -> int:
     text_in = _read(args.file)
     with _exit_on(ParseError, EXIT_PARSE, f"{args.file}: "):
         label, entries = parse_olympic(text_in)
-    spec = speculate(entries, args.d)
+    with _exit_on(ValueError, EXIT_COMPUTE, f"{args.file}: "):
+        spec = speculate(entries, args.d)
     _emit(_render("speculate", args.format, label, entries, spec), args.out)
     return EXIT_OK
 

@@ -8,6 +8,7 @@ done in integer centiseconds so published lists reproduce exactly.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 from .dataset import Lane, OlympicEntry, format_time
@@ -42,27 +43,19 @@ def speculate(entries: Sequence[OlympicEntry], d: float) -> SpeculativeList:
 
     d is rounded to the nearest centisecond before applying.  Ties share a
     rank (``competition_ranks``); the order within a tie follows the input
-    list.  Non-finishers are carried through unranked at the end.
+    list.  Non-finishers are carried through unranked at the end.  Raises
+    ValueError when d is not a finite number of centiseconds or when a
+    shifted time would not be positive.
     """
+    if not math.isfinite(d * 100):
+        raise ValueError(f"d = {d:g} s is not a finite number of centiseconds")
     d_cs = round(d * 100)
     shifted = sorted((e.time_cs + (d_cs if e.lane is Lane.INNER_START else -d_cs), i, e.name)
                      for i, e in enumerate(entries) if e.finished)
+    if shifted and shifted[0][0] <= 0:
+        raise ValueError(f"d = {d:g} s leaves {shifted[0][2]} with a time of"
+                         f" {shifted[0][0] / 100:.2f} s; shifted times must be positive")
     ranks = competition_ranks([t for t, _, _ in shifted])
     out = [SpeculativeEntry(r, name, t) for r, (t, _, name) in zip(ranks, shifted)]
     out += [SpeculativeEntry(None, e.name, None) for e in entries if not e.finished]
     return SpeculativeList(tuple(out), d_cs)
-
-
-def round_trip(entries: Sequence[OlympicEntry], d: float) -> list[OlympicEntry]:
-    """Apply the swap, flip the lanes, apply it again; restores the input.
-
-    Verification helper: the double application is the exact identity on
-    centisecond times.
-    """
-    once = speculate(entries, d)
-    by_name = {e.name: e.time_cs for e in once.entries}
-    flipped = [OlympicEntry(e.name, e.lane.opposite, by_name[e.name], e.status)
-               for e in entries]
-    twice = speculate(flipped, d)
-    back = {e.name: e.time_cs for e in twice.entries}
-    return [OlympicEntry(e.name, e.lane, back[e.name], e.status) for e in entries]

@@ -51,10 +51,6 @@ class Lane(enum.Enum):
     INNER_START = "i"
     OUTER_START = "o"
 
-    @property
-    def opposite(self) -> "Lane":
-        return Lane.OUTER_START if self is Lane.INNER_START else Lane.INNER_START
-
 
 class Run(NamedTuple):
     """One 500 m run: starting lane, 100 m passing time, finishing time."""
@@ -138,7 +134,7 @@ _OK, _OUTER = RunStatus.OK, Lane.OUTER_START    # read once: an enum member read
 
 def _parse_header(lines: list[str]) -> tuple[str, int] | None:
     """Venue and year of the ``#event,<venue>,<year>`` header, None without
-    one; only a header that ``serialize_event`` writes back is accepted."""
+    one; only a canonical header, whose year prints back as written, is accepted."""
     if not (lines and lines[0].startswith("#event,")):
         return None
     head = lines[0].split(",")
@@ -213,17 +209,6 @@ def parse_event(text: str) -> EventDataset:
         row.append(fields[9].strip() if n == 10 else "")
         rows.append(row)
     return EventDataset._from_rows(*header, rows)
-
-
-def serialize_event(ds: EventDataset) -> str:
-    """Inverse of parse_event (byte-exact round trip for canonical files)."""
-    lines = [f"#event,{ds.venue},{ds.year}"]
-    for name, lane1, x1, y1, status1, lane2, x2, y2, status2, note in zip(
-            ds.names, *ds.day1, *ds.day2, ds.notes):
-        lines.append(",".join([name, lane1.value, format_time(x1), format_time(y1),
-                               status1.value, lane2.value, format_time(x2), format_time(y2),
-                               status2.value] + ([note] if note else [])))
-    return "\n".join(lines) + "\n"
 
 
 def parse_olympic(text: str) -> tuple[str, list[OlympicEntry]]:

@@ -72,28 +72,12 @@ def _arrays(pairs: Sequence[PairObs]):
     return x1, y1, x2, y2, w
 
 
-def design_rows(pairs: Sequence[PairObs], with_lane: bool = True):
-    """Covariate matrices X1, X2 and responses y1, y2.
-
-    Row i of X1 is (1, 0, x1_i, w_i) and of X2 is (0, 1, x2_i, -w_i);
-    the lane column is dropped when ``with_lane`` is false.
-    """
-    x1, y1, x2, y2, w = _arrays(pairs)
-    n = len(pairs)
-    cols1 = [np.ones(n), np.zeros(n), x1]
-    cols2 = [np.zeros(n), np.ones(n), x2]
-    if with_lane:
-        cols1.append(w)
-        cols2.append(-w)
-    return np.column_stack(cols1), np.column_stack(cols2), y1, y2
-
-
 class MomentMatrices(NamedTuple):
     """Augmented Gram matrices of the rotated rows, averaged over the pairs.
 
-    A comes from the average rows [(X1 + X2)/2 | (y1 + y2)/2] and D from
-    the difference rows [X1 - X2 | y1 - y2], both in (a1, a2, b, d | y)
-    coordinates.  With b = (beta, -1) the GLS objective at rho is
+    A comes from the average rows and D from the difference rows of
+    ``build_moments``, both in (a1, a2, b, d | y) coordinates.  With
+    b = (beta, -1) the GLS objective at rho is
     Q1 + Q2 - 2 rho Q3 = n b' [2 (1 - rho) A + (1 + rho)/2 D] b.
     """
 
@@ -107,13 +91,21 @@ class MomentMatrices(NamedTuple):
 
 
 def build_moments(pairs: Sequence[PairObs], with_lane: bool = True) -> MomentMatrices:
-    """Average and difference Gram matrices over the usable pairs."""
+    """Average and difference Gram matrices over the usable pairs.
+
+    Row i of the average is [1/2, 1/2, (x1 + x2)/2, 0 | (y1 + y2)/2] and of
+    the difference [1, -1, x1 - x2, 2 w | y1 - y2]; the lane column is
+    dropped when ``with_lane`` is false.
+    """
     if not pairs:
         raise InsufficientDataError("no usable pairs")
-    X1, X2, y1, y2 = design_rows(pairs, with_lane)
-    ave = np.column_stack([(X1 + X2) / 2.0, (y1 + y2) / 2.0])
-    diff = np.column_stack([X1 - X2, y1 - y2])
+    x1, y1, x2, y2, w = _arrays(pairs)
     n = len(pairs)
+    ave = [np.full(n, 0.5), np.full(n, 0.5), (x1 + x2) / 2.0, np.zeros(n), (y1 + y2) / 2.0]
+    diff = [np.ones(n), np.full(n, -1.0), x1 - x2, w + w, y1 - y2]
+    if not with_lane:
+        del ave[3], diff[3]
+    ave, diff = np.column_stack(ave), np.column_stack(diff)
     return MomentMatrices(A=ave.T @ ave / n, D=diff.T @ diff / n, n=n)
 
 
@@ -145,13 +137,6 @@ def day_residuals(pairs: Sequence[PairObs],
     x1, y1, x2, y2, w = _arrays(pairs)
     a1, a2, b, d = beta
     return y1 - (a1 + b * x1 + d * w), y2 - (a2 + b * x2 - d * w)
-
-
-def q_components(pairs: Sequence[PairObs], beta: np.ndarray) -> tuple[float, float, float]:
-    """Residual sums Q1 = sum r1^2, Q2 = sum r2^2, Q3 = sum r1*r2, formed
-    directly from the pairs (exact for a perfect fit)."""
-    r1, r2 = day_residuals(pairs, beta)
-    return float(r1 @ r1), float(r2 @ r2), float(r1 @ r2)
 
 
 def profile_loglik(m: MomentMatrices, rho: float) -> float:
@@ -287,34 +272,3 @@ def fit_ml(pairs: Sequence[PairObs], constraint: str = "free_d") -> FitResult:
         cov_beta=np.pad(cov, (0, 4 - p)), loglik=loglik, n=n, p=p,
         condition_number=float(np.linalg.cond(mrho)),
         fixed_point_residual=fixed_point)
-
-
-class VarianceReport(NamedTuple):
-    """Precision summary for the lane-difference estimate."""
-
-    se_d_exact: float           # from the coefficient covariance
-    se_d_balanced: float        # sqrt(2 sigma_un^2 / n), balanced-lane approximation
-    var_sigma: float            # kurtosis-corrected variance of sigma-hat
-    kurtosis_diff: float        # excess kurtosis of the day-difference residuals
-    b_var_ratio: float          # Var(b), day-difference OLS / mixed fit = 2/(1+rho)
-
-
-def variance_report(fit: FitResult, pairs: Sequence[PairObs]) -> VarianceReport:
-    """Exact and approximate standard errors, with a normality check on sigma.
-
-    The variance of sigma-hat under non-normal errors is
-    sigma^2 (1/2 + kurt/4) / n with kurt the excess kurtosis of the
-    day-to-day residual differences (zero under normality).
-    """
-    r1, r2 = day_residuals(pairs, fit.beta)
-    resid = r2 - r1
-    centered = resid - resid.mean()
-    m2 = float((centered ** 2).mean())
-    kurt = float((centered ** 4).mean()) / m2 ** 2 - 3.0 if m2 > 0 else 0.0
-    var_sigma = fit.sigma_un ** 2 * (0.5 + 0.25 * kurt) / fit.n
-    return VarianceReport(
-        se_d_exact=fit.se_d,
-        se_d_balanced=math.sqrt(2.0 * fit.sigma_un ** 2 / fit.n),
-        var_sigma=var_sigma,
-        kurtosis_diff=kurt,
-        b_var_ratio=2.0 / (1.0 + fit.rho))

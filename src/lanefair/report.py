@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence, TypeAlias
 
-from .counterfactual import SpeculativeList, competition_ranks
-from .dataset import format_time
-
 if TYPE_CHECKING:       # result types only: rendering needs none of their modules
+    from .counterfactual import SpeculativeList
     from .diagnostics import AdjustedDiffs, CleanedFit, ValidationReport
     from .meta import MetaResult, PowerSpec, SplitContrast
     from .simulate import McReport
@@ -204,6 +202,9 @@ def _rank_marks(ranks) -> list[str]:
 
 def _speculate_text(label: str, entries, spec: SpeculativeList) -> str:
     """Aligned real-vs-speculative listing, one skater per line each side."""
+    from .counterfactual import competition_ranks
+    from .dataset import format_time
+
     finished = [e for e in entries if e.finished]
     unranked = [e for e in entries if not e.finished]
     real_marks = _rank_marks(competition_ranks([e.time_cs for e in finished])

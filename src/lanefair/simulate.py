@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DEFAULT_THRESHOLD
 from .model import PairObs, fit_ml
 
 _X_MEAN, _X_SD = 10.1, 0.2      # 100 m passing times, seconds
@@ -75,27 +74,3 @@ def mc_calibration(n: int = 30, reps: int = 2000, seed: int = 7,
         d_mean=float(ds.mean()), d_var=d_var,
         d_var_theory=theory, var_ratio=d_var / theory,
         sigma2_un_mean=float(s2.mean()), rho_mean=float(rhos.mean()))
-
-
-def null_flag_rates(events: int = 200, n: int = 250, seed: int = 11,
-                    threshold: float = DEFAULT_THRESHOLD, sigma: float = 0.25,
-                    kappa: float = 0.30) -> dict[str, float]:
-    """Empirical flag rates of the outlier statistics under the null model."""
-    from .diagnostics import outlier_scan
-
-    rng = np.random.default_rng(seed)
-    counts = {"T1": 0, "T2": 0, "T3": 0}
-    total = 0
-    for _ in range(events):
-        pairs = simulate_event(rng, n, d=0.0, sigma=sigma, kappa=kappa)
-        report = outlier_scan(pairs, fit_ml(pairs), threshold)
-        for rec in report.records:
-            for tag in rec.flagged_by:
-                counts[tag] += 1
-        total += n
-    return {k: v / total for k, v in counts.items()} | {"runs": float(total)}
-
-
-def expected_flag_rate(threshold: float = DEFAULT_THRESHOLD) -> float:
-    """Two-sided standard-normal tail mass at the threshold."""
-    return math.erfc(threshold / math.sqrt(2.0))

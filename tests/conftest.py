@@ -2,9 +2,11 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lanefair.dataset import load_event, usable_pairs
+from lanefair.counterfactual import speculate
+from lanefair.dataset import Lane, OlympicEntry, format_time, load_event, usable_pairs
 from lanefair.diagnostics import clean_and_refit
 
 REPO = Path(__file__).resolve().parent.parent
@@ -56,3 +58,43 @@ def reference_sets(usable):
     """Estimation sets with the originally removed skaters taken out."""
     return {y: [p for p in pairs if p.name not in REFERENCE_REMOVALS[y]]
             for y, (pairs, _) in usable.items()}
+
+
+def serialize_event(ds):
+    """Inverse of parse_event (byte-exact round trip for canonical files)."""
+    lines = [f"#event,{ds.venue},{ds.year}"]
+    for name, lane1, x1, y1, status1, lane2, x2, y2, status2, note in zip(
+            ds.names, *ds.day1, *ds.day2, ds.notes):
+        lines.append(",".join([name, lane1.value, format_time(x1), format_time(y1),
+                               status1.value, lane2.value, format_time(x2), format_time(y2),
+                               status2.value] + ([note] if note else [])))
+    return "\n".join(lines) + "\n"
+
+
+_OPPOSITE = {Lane.INNER_START: Lane.OUTER_START, Lane.OUTER_START: Lane.INNER_START}
+
+
+def round_trip(entries, d):
+    """Apply the swap, flip the lanes, apply it again; restores the input.
+
+    The double application is the exact identity on centisecond times.
+    """
+    once = speculate(entries, d)
+    by_name = {e.name: e.time_cs for e in once.entries}
+    flipped = [OlympicEntry(e.name, _OPPOSITE[e.lane], by_name[e.name], e.status)
+               for e in entries]
+    twice = speculate(flipped, d)
+    back = {e.name: e.time_cs for e in twice.entries}
+    return [OlympicEntry(e.name, e.lane, back[e.name], e.status) for e in entries]
+
+
+def design_rows(pairs):
+    """Day-wise covariate matrices X1, X2 and responses y1, y2.
+
+    Row i of X1 is (1, 0, x1_i, w_i) and of X2 is (0, 1, x2_i, -w_i).
+    """
+    x1, y1, x2, y2, w = (np.array([getattr(p, f) for p in pairs], dtype=float)
+                         for f in ("x1", "y1", "x2", "y2", "w"))
+    ones, zeros = np.ones(len(pairs)), np.zeros(len(pairs))
+    return (np.column_stack([ones, zeros, x1, w]), np.column_stack([zeros, ones, x2, -w]),
+            y1, y2)

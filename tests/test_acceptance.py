@@ -22,15 +22,15 @@ from collections import Counter
 
 import numpy as np
 
-from lanefair.counterfactual import round_trip, speculate
+from lanefair.counterfactual import speculate
 from lanefair.dataset import parse_olympic
 from lanefair.diagnostics import (adjusted_differences, clean_and_refit, outlier_scan,
                                   validate_model)
 from lanefair.meta import EventSummary, combine, cross_group_correlation, power_plan, predict_range, split_half
-from lanefair.model import PairObs, build_moments, design_rows, fit_ml, gls_beta, profile_loglik
+from lanefair.model import PairObs, build_moments, fit_ml, gls_beta, profile_loglik
 from lanefair.simulate import mc_calibration
 
-from conftest import DATA, REFERENCE_REMOVALS, YEARS
+from conftest import DATA, REFERENCE_REMOVALS, YEARS, design_rows, round_trip
 from test_counterfactual import computed_multiset, corrected_multiset
 from test_meta import MEN, WOMEN
 

@@ -337,6 +337,12 @@ OUT_OF_RANGE = {
                  id="speculate-d-nan"),
     pytest.param(("speculate", str(DATA / "oly1994.csv"), "--d", "inf"), 5,
                  id="speculate-d-inf"),
+    pytest.param(("speculate", str(DATA / "oly1994.csv"), "--d", "1e307"), 5,
+                 id="speculate-d-overflows-centiseconds"),
+    pytest.param(("speculate", str(DATA / "oly1994.csv"), "--d", "40"), 5,
+                 id="speculate-d-negative-outer-times"),
+    pytest.param(("speculate", str(DATA / "oly1994.csv"), "--d", "-40"), 5,
+                 id="speculate-d-negative-inner-times"),
     pytest.param(("validate", str(DATA / "swc1994.csv"), "--bandwidth", "abc"), 5,
                  id="validate-bandwidth-abc"),
     pytest.param(("validate", str(DATA / "swc1994.csv"), "--bandwidth", "nan"), 5,
@@ -435,6 +441,11 @@ def test_light_calls_load_no_numpy(statement):
     assert _loaded(statement, ESTIMATION_MODULES) == "[]"
 
 
+@pytest.mark.parametrize("call", ["power", "meta-summary"])
+def test_calls_without_a_list_load_no_counterfactual(call):
+    assert _loaded(LIGHT_CALLS[call], ("lanefair.counterfactual",)) == "[]"
+
+
 @pytest.mark.parametrize("call", ["speculate", "power", "meta-summary"])
 def test_light_text_calls_load_no_dataclasses_inspect_or_json(call):
     expected = "['statistics']" if call == "power" else "[]"
@@ -444,7 +455,7 @@ def test_light_text_calls_load_no_dataclasses_inspect_or_json(call):
 def test_package_names_are_their_home_modules_objects():
     import lanefair
 
-    assert len(lanefair.__all__) == len(set(lanefair.__all__)) == 48
+    assert len(lanefair.__all__) == len(set(lanefair.__all__)) == 43
     for name in lanefair.__all__:
         obj = getattr(lanefair, name)
         assert obj is getattr(importlib.import_module(obj.__module__), name), name
@@ -466,12 +477,11 @@ def test_result_records_cannot_be_assigned(events, pipeline):
         summaries[0], lf.combine(summaries), lf.power_plan(0.25, 0.02, 0.05),
         contrast, contrast.per_event[0],
         lf.build_moments(cleaned.pairs_clean), cleaned, cleaned.fit, cleaned.report,
-        lf.variance_report(cleaned.fit, cleaned.pairs_clean),
         validation, validation.kde_diff, lf.adjusted_differences(cleaned.pairs_clean)]
     assert sorted(type(r).__name__ for r in records) == sorted(
         "EventDataset SkaterPair OlympicEntry SpeculativeList SpeculativeEntry EventSummary"
         " MetaResult PowerSpec SplitContrast SplitEntry MomentMatrices CleanedFit FitResult"
-        " OutlierReport VarianceReport ValidationReport KdeCurve AdjustedDiffs".split())
+        " OutlierReport ValidationReport KdeCurve AdjustedDiffs".split())
     for record in records:
         for name in record._fields:
             with pytest.raises(AttributeError):

@@ -5,10 +5,10 @@ from collections import Counter
 import pytest
 
 from lanefair import report
-from lanefair.counterfactual import competition_ranks, round_trip, speculate
+from lanefair.counterfactual import competition_ranks, speculate
 from lanefair.dataset import Lane, OlympicEntry, ParseError, RunStatus, parse_olympic
 
-from conftest import DATA, EXPECTED
+from conftest import DATA, EXPECTED, round_trip
 
 OLYMPIC_YEARS = (1988, 1992, 1994)
 
@@ -161,6 +161,18 @@ def test_d_rounded_to_centiseconds():
     assert spec.d_cs == 5
     assert [e.time_cs for e in spec.entries] == [3605, 3605]
     assert [e.rank for e in spec.entries] == [1, 1]
+
+
+@pytest.mark.parametrize("d,fragment", [
+    (1e307, "not a finite number of centiseconds"),
+    (40.0, "Manabu Horii with a time of -3.47 s"),
+    (-40.0, "Aleksandr Golubyev with a time of -3.67 s"),
+    (-36.33, "Aleksandr Golubyev with a time of 0.00 s"),     # zero is not a time either
+])
+def test_shift_out_of_range_is_rejected(d, fragment):
+    _, entries = load_oly(1994)
+    with pytest.raises(ValueError, match=fragment):
+        speculate(entries, d)
 
 
 def test_competition_ranks_share_the_first_rank_of_a_tie():

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from lanefair.dataset import (EventDataset, Lane, ParseError, Run, RunStatus,
                               SkaterPair, load_event, parse_event, parse_olympic,
-                              serialize_event, usable_pairs)
+                              usable_pairs)
 
-from conftest import DATA
+from conftest import DATA, serialize_event
 
 
 def test_round_trip_all_fixtures():

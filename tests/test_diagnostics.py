@@ -8,16 +8,15 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import DATA
+from conftest import DATA, serialize_event
 from lanefair import diagnostics
-from lanefair.dataset import (Lane, RunStatus, load_event, parse_event,
-                              serialize_event, usable_pairs)
+from lanefair.dataset import (DEFAULT_THRESHOLD, Lane, RunStatus, load_event, parse_event,
+                              usable_pairs)
 from lanefair.diagnostics import (adjusted_differences, clean_and_refit,
                                   gaussian_kde_curve, outlier_scan,
                                   validate_model)
 from lanefair.model import FitResult, PairObs, day_residuals, fit_ml
-from lanefair.simulate import (expected_flag_rate, null_flag_rates,
-                               simulate_event)
+from lanefair.simulate import simulate_event
 
 # What the screening pass flags on each championship, fit on all usable pairs.
 PIPELINE_ROSTERS = {
@@ -296,6 +295,28 @@ def test_later_screen_leaves_earlier_result_unchanged():
     second = clean_and_refit(pairs, threshold=2.5)
     assert first.removed == () and second.removed == ("Y.Mitani",)
     assert first.pairs_clean == before
+
+
+def null_flag_rates(events: int = 200, n: int = 250, seed: int = 11,
+                    threshold: float = DEFAULT_THRESHOLD, sigma: float = 0.25,
+                    kappa: float = 0.30) -> dict[str, float]:
+    """Empirical flag rates of the outlier statistics under the null model."""
+    rng = np.random.default_rng(seed)
+    counts = {"T1": 0, "T2": 0, "T3": 0}
+    total = 0
+    for _ in range(events):
+        pairs = simulate_event(rng, n, d=0.0, sigma=sigma, kappa=kappa)
+        report = outlier_scan(pairs, fit_ml(pairs), threshold)
+        for rec in report.records:
+            for tag in rec.flagged_by:
+                counts[tag] += 1
+        total += n
+    return {k: v / total for k, v in counts.items()} | {"runs": float(total)}
+
+
+def expected_flag_rate(threshold: float = DEFAULT_THRESHOLD) -> float:
+    """Two-sided standard-normal tail mass at the threshold."""
+    return math.erfc(threshold / math.sqrt(2.0))
 
 
 def test_null_flag_rates_near_two_sided_tail():

@@ -7,9 +7,10 @@ import pytest
 
 from lanefair.model import (RHO_MAX, DegenerateDesignError,
                             InsufficientDataError, PairObs, build_moments,
-                            design_rows, fit_ml, gls_beta, profile_loglik,
-                            q_components, variance_report)
+                            day_residuals, fit_ml, gls_beta, profile_loglik)
 from lanefair.simulate import simulate_event
+
+from conftest import design_rows
 
 # Reference per-event estimates (a1, a2, b, d, rho, sigma, kappa) and se(d)
 # from the original championship analyses; reproduced on the matching
@@ -31,6 +32,13 @@ REFERENCE_FITS = {
 
 def _pair(name, x1, y1, x2, y2, w):
     return PairObs(name, x1, y1, x2, y2, w)
+
+
+def q_components(pairs, beta):
+    """Residual sums Q1 = sum r1^2, Q2 = sum r2^2, Q3 = sum r1*r2, formed
+    directly from the pairs (exact for a perfect fit)."""
+    r1, r2 = day_residuals(pairs, beta)
+    return float(r1 @ r1), float(r2 @ r2), float(r1 @ r2)
 
 
 def test_reference_fits_reproduced(reference_sets):
@@ -346,33 +354,3 @@ def test_fit_ml_tracks_difference_ols_on_synthetic():
         cov = float(rss[0]) / (len(pairs) - 3) * np.linalg.inv(X.T @ X)
         joint = math.hypot(full.se_d, math.sqrt(cov[2, 2]))
         assert abs(coef[2] - full.d) <= 3.0 * joint
-
-
-def test_variance_report_values(pipeline):
-    cleaned = pipeline[1994]
-    vr = variance_report(cleaned.fit, cleaned.pairs_clean)
-    assert vr.se_d_exact == cleaned.fit.se_d
-    assert vr.se_d_balanced == pytest.approx(
-        math.sqrt(2 * cleaned.fit.sigma_un ** 2 / cleaned.fit.n), rel=1e-12)
-    assert vr.b_var_ratio == pytest.approx(2 / (1 + cleaned.fit.rho), rel=1e-12)
-
-
-def test_variance_report_ratio_two_at_zero_rho():
-    pairs = []
-    for i in range(12):
-        x = 10.0 + 0.1 * i
-        e = 0.1 if i % 2 else -0.1
-        pairs.append(_pair(str(i), x, 17.0 + 2 * x + e, x, 17.0 + 2 * x - e,
-                           0.5 if i < 6 else -0.5))
-    fit = fit_ml(pairs)
-    assert variance_report(fit, pairs).b_var_ratio == 2.0
-
-
-def test_variance_report_normal_data_matches_theory():
-    rng = np.random.default_rng(21)
-    pairs = simulate_event(rng, 2000)
-    fit = fit_ml(pairs)
-    vr = variance_report(fit, pairs)
-    theory = fit.sigma_un ** 2 / (2 * fit.n)
-    assert abs(vr.var_sigma - theory) <= 0.2 * theory
-    assert abs(vr.kurtosis_diff) <= 0.3
