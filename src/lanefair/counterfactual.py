@@ -45,7 +45,7 @@ def speculate(entries: Sequence[OlympicEntry], d: float) -> SpeculativeList:
     rank (``competition_ranks``); the order within a tie follows the input
     list.  Non-finishers are carried through unranked at the end.  Raises
     ValueError when d is not a finite number of centiseconds or when a
-    shifted time would not be positive.
+    shifted time would not be positive or would reach 2**53 cs.
     """
     if not math.isfinite(d * 100):
         raise ValueError(f"d = {d:g} s is not a finite number of centiseconds")
@@ -55,6 +55,9 @@ def speculate(entries: Sequence[OlympicEntry], d: float) -> SpeculativeList:
     if shifted and shifted[0][0] <= 0:
         raise ValueError(f"d = {d:g} s leaves {shifted[0][2]} with a time of"
                          f" {shifted[0][0] / 100:.2f} s; shifted times must be positive")
+    if shifted and shifted[-1][0] >= 2 ** 53:     # JSON floats hold every cs below it
+        raise ValueError(f"d = {d:g} s gives {shifted[-1][2]} a time of"
+                         f" {shifted[-1][0] / 100:g} s; shifted times must stay below 2**53 cs")
     ranks = competition_ranks([t for t, _, _ in shifted])
     out = [SpeculativeEntry(r, name, t) for r, (t, _, name) in zip(ranks, shifted)]
     out += [SpeculativeEntry(None, e.name, None) for e in entries if not e.finished]

@@ -20,7 +20,7 @@ from collections import Counter, namedtuple
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:       # importing model loads numpy; usable_pairs does so when called
-    from .model import PairObs
+    from .model import Pairs
 
 # Outlier-screen threshold on |t|; here so the CLI can default to it without numpy.
 DEFAULT_THRESHOLD = 2.75
@@ -70,7 +70,7 @@ class Run(NamedTuple):
 
     @property
     def complete(self) -> bool:
-        return (self.status is RunStatus.OK and self.t100_cs is not None
+        return (self.status is _OK and self.t100_cs is not None
                 and self.t500_cs is not None)
 
 
@@ -124,7 +124,7 @@ class OlympicEntry(NamedTuple):
 
     @property
     def finished(self) -> bool:
-        return self.status is RunStatus.OK and self.time_cs is not None
+        return self.status is _OK and self.time_cs is not None
 
 
 _LANES = {l.value: l for l in Lane}
@@ -232,9 +232,9 @@ def parse_olympic(text: str) -> tuple[str, list[OlympicEntry]]:
         name, lane_tok, time_tok, status_tok = fields
         lane, status = _lane_status(lane_tok, status_tok, lineno)
         time_cs = _parse_time(time_tok, lineno)
-        if status is RunStatus.OK and time_cs is None:
+        if status is _OK and time_cs is None:
             raise ParseError("finisher without a time", lineno)
-        if status is not RunStatus.OK and time_cs is not None:
+        if status is not _OK and time_cs is not None:
             raise ParseError("non-finisher with a time", lineno)
         if time_cs is not None and entries and not entries[-1].finished:
             raise ParseError("finisher listed after a non-finisher", lineno)
@@ -246,7 +246,7 @@ def parse_olympic(text: str) -> tuple[str, list[OlympicEntry]]:
 
 
 def usable_pairs(ds: EventDataset, lane_policy: str = "warn_day1",
-                 ) -> tuple[list[PairObs], list[str]]:
+                 ) -> tuple[Pairs, list[str]]:
     """Filter to pairs with both runs complete, attaching lane indicators.
 
     Rows where the skater did not alternate lanes are handled per
@@ -254,12 +254,13 @@ def usable_pairs(ds: EventDataset, lane_policy: str = "warn_day1",
     from the day-1 lane, under ``strict`` they are dropped.  Either way a
     warning is recorded.
     """
-    from .model import PairObs
+    import numpy as np
+
+    from .model import Pairs
 
     if lane_policy not in ("strict", "warn_day1"):
         raise ValueError(f"unknown lane policy {lane_policy!r}")
-    out: list[PairObs] = []
-    warnings: list[str] = []
+    names, times, w, warnings = [], [], [], []
     for name, lane1, x1, y1, status1, lane2, x2, y2, status2 in zip(
             ds.names, *ds.day1, *ds.day2):
         if not (status1 is status2 is _OK and None not in (x1, y1, x2, y2)):
@@ -270,9 +271,10 @@ def usable_pairs(ds: EventDataset, lane_policy: str = "warn_day1",
                 + (" (kept, w from day 1)" if lane_policy == "warn_day1" else " (dropped)"))
             if lane_policy == "strict":
                 continue
-        out.append(PairObs(name, x1 / 100.0, y1 / 100.0, x2 / 100.0, y2 / 100.0,
-                           0.5 if lane1 is _OUTER else -0.5))
-    return out, warnings
+        names.append(name)
+        times += x1, y1, x2, y2
+        w.append(0.5 if lane1 is _OUTER else -0.5)
+    return Pairs(names, *np.array(times, dtype=float).reshape(-1, 4).T / 100.0, w), warnings
 
 
 def load_event(path) -> EventDataset:

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .dataset import DEFAULT_THRESHOLD
-from .model import FitResult, PairObs, day_residuals, fit_ml
+from .model import FitResult, Pairs, day_residuals, fit_ml
 
 _KDE_GRIDSIZE = 512
 _KDE_BLOCK = 16384      # kernel terms per block of grid rows, which bounds the memory
@@ -62,7 +62,7 @@ def _read_only(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
-def outlier_scan(pairs: Sequence[PairObs], fit: FitResult,
+def outlier_scan(pairs: Pairs, fit: FitResult,
                  threshold: float = DEFAULT_THRESHOLD) -> OutlierReport:
     """Screen every pair against the fit.
 
@@ -79,7 +79,7 @@ def outlier_scan(pairs: Sequence[PairObs], fit: FitResult,
     codes = ((np.abs(t1) > threshold) + 2 * (np.abs(t2) > threshold)
              + 4 * (np.abs(t3) >= threshold))
     _read_only(t1, t2, t3, codes)
-    return OutlierReport(tuple([p.name for p in pairs]), t1, t2, t3, codes, threshold)
+    return OutlierReport(pairs.names, t1, t2, t3, codes, threshold)
 
 
 class CleanedFit(NamedTuple):
@@ -88,12 +88,12 @@ class CleanedFit(NamedTuple):
     first_fit: FitResult
     report: OutlierReport
     removed: tuple[str, ...]
-    pairs_clean: tuple[PairObs, ...]
+    pairs_clean: Pairs
     fit: FitResult
     warnings: tuple[str, ...]   # the event's data warnings, passed through
 
 
-def clean_and_refit(pairs: Sequence[PairObs], threshold: float = DEFAULT_THRESHOLD,
+def clean_and_refit(pairs: Pairs, threshold: float = DEFAULT_THRESHOLD,
                     warnings: Sequence[str] = ()) -> CleanedFit:
     """Fit on all usable pairs, scan once, drop flagged skaters, refit.
 
@@ -103,11 +103,10 @@ def clean_and_refit(pairs: Sequence[PairObs], threshold: float = DEFAULT_THRESHO
     """
     first = fit_ml(pairs)
     report = outlier_scan(pairs, first, threshold)
-    flagged = report.flagged_names
-    removed = set(flagged)
-    kept = tuple(p for p in pairs if p.name not in removed)
+    removed = tuple(report.flagged_names)
+    kept = pairs.take(report.codes == 0)
     final = fit_ml(kept) if removed else first
-    return CleanedFit(first, report, tuple(flagged), kept, final, tuple(warnings))
+    return CleanedFit(first, report, removed, kept, final, tuple(warnings))
 
 
 class KdeCurve(NamedTuple):
@@ -197,7 +196,7 @@ def _skew_kurt(v: np.ndarray) -> tuple[float, float]:
     return float((c2 * c).mean()) / m2 ** 1.5, float((c2 * c2).mean()) / m2 ** 2 - 3.0
 
 
-def validate_model(pairs: Sequence[PairObs], fit: FitResult,
+def validate_model(pairs: Pairs, fit: FitResult,
                    kde_bandwidth: float | str = "silverman") -> ValidationReport:
     """Check the bivariate normal structure on the cleaned pairs.
 
@@ -215,7 +214,7 @@ def validate_model(pairs: Sequence[PairObs], fit: FitResult,
     _read_only(ave_v, diff_v)
     (skew_diff, kurt_diff), (skew_ave, kurt_ave) = map(_skew_kurt, (diff_v, ave_v))
     return ValidationReport(
-        names=tuple([p.name for p in pairs]), ave_star=ave_v, diff_star=diff_v,
+        names=pairs.names, ave_star=ave_v, diff_star=diff_v,
         skew_diff=skew_diff, skew_ave=skew_ave, kurt_diff=kurt_diff, kurt_ave=kurt_ave,
         corr=float(np.corrcoef(ave_v, diff_v)[0, 1]),
         band_skew=1.645 * math.sqrt(6.0 / n),
@@ -241,7 +240,7 @@ class AdjustedDiffs(NamedTuple):
         return [r for r in self.records if (r.w > 0) == (w_sign > 0)]
 
 
-def adjusted_differences(pairs: Sequence[PairObs]) -> AdjustedDiffs:
+def adjusted_differences(pairs: Pairs) -> AdjustedDiffs:
     """Condition-adjusted lap-time differences under the no-lane-effect refit.
 
     D = (Y2 - a2 - b x2) - (Y1 - a1 - b x1) with coefficients re-estimated
@@ -252,6 +251,6 @@ def adjusted_differences(pairs: Sequence[PairObs]) -> AdjustedDiffs:
     r1, r2 = day_residuals(pairs, fit0.beta)
     D = r2 - r1
     star = D / (math.sqrt(2.0) * fit0.sigma_un)
-    records = tuple(map(AdjustedDiffRecord, [p.name for p in pairs], [p.w for p in pairs],
-                        D.tolist(), star.tolist()))
+    records = tuple(map(AdjustedDiffRecord, pairs.names, pairs.w.tolist(), D.tolist(),
+                        star.tolist()))
     return AdjustedDiffs(records, fit0)

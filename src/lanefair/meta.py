@@ -13,8 +13,8 @@ import math
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-if TYPE_CHECKING:       # the fitter's pair record; importing model loads numpy
-    from .model import PairObs
+if TYPE_CHECKING:       # the fitter's pair columns; importing model loads numpy
+    from .model import Pairs
 
 _MIN_HALF = 5            # smallest half split_half fits
 
@@ -177,7 +177,7 @@ class SplitContrast(NamedTuple):
     warnings: tuple[str, ...]
 
 
-def split_half(events: Iterable[tuple[str, Sequence[PairObs]]]) -> SplitContrast:
+def split_half(events: Iterable[tuple[str, Pairs]]) -> SplitContrast:
     """Best-half vs rest-half contrast of the lane difference.
 
     Each cleaned event is ranked by the skater's average finishing time
@@ -192,12 +192,10 @@ def split_half(events: Iterable[tuple[str, Sequence[PairObs]]]) -> SplitContrast
     entries: list[SplitEntry] = []
     warnings: list[str] = []
     for label, pairs in events:
-        y1 = np.array([p.y1 for p in pairs])
-        y2 = np.array([p.y2 for p in pairs])
         # lexsort is stable, so a tie in both keys keeps entry order.
-        ordered = [pairs[i] for i in np.lexsort((y1, 0.5 * (y1 + y2))).tolist()]
-        n_best = len(ordered) // 2
-        best, rest = ordered[:n_best], ordered[n_best:]
+        order = np.lexsort((pairs.y1, 0.5 * (pairs.y1 + pairs.y2)))
+        n_best = len(pairs) // 2
+        best, rest = pairs.take(order[:n_best]), pairs.take(order[n_best:])
         if min(len(best), len(rest)) < _MIN_HALF:
             warnings.append(f"{label}: field too small to halve, skipped")
             continue
@@ -217,8 +215,7 @@ def split_half(events: Iterable[tuple[str, Sequence[PairObs]]]) -> SplitContrast
                          tuple(warnings))
 
 
-def summaries_from_events(cleaned: Iterable[tuple[str, Sequence[PairObs]]],
-                          ) -> list[EventSummary]:
+def summaries_from_events(cleaned: Iterable[tuple[str, Pairs]]) -> list[EventSummary]:
     """Fit each cleaned event and collect (d, se) summaries."""
     from .model import fit_ml
 

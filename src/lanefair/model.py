@@ -20,8 +20,7 @@ maximum lies at a real root of the cubic (U*V)'.  For fixed rho, beta =
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,29 +46,33 @@ class DegenerateDesignError(FitError):
     pass
 
 
-@dataclass(frozen=True)
-class PairObs:
-    """A usable pair reduced to the quantities estimation needs.
+class Pairs:
+    """Usable pairs as columns: the names and read-only float64 columns x1, y1, x2,
+    y2 and w, the lane indicator: +1/2 for an outer start on day 1, -1/2 for an inner."""
 
-    ``w`` is the lane indicator: +1/2 for an outer start on day 1 (last
-    outer lane on day 2), -1/2 for an inner start on day 1.
-    """
+    __slots__ = ("names", "x1", "y1", "x2", "y2", "w")
 
-    name: str
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-    w: float
+    def __init__(self, names, x1, y1, x2, y2, w):
+        names, data = tuple(names), np.array([x1, y1, x2, y2, w], dtype=float)
+        if data.shape != (5, len(names)):
+            raise ValueError(f"{len(names)} names need five columns of that length")
+        data.flags.writeable = False
+        for field, value in zip(self.__slots__, (names, *data)):
+            object.__setattr__(self, field, value)
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Pairs is read-only: cannot set {name!r}")
 
-def _arrays(pairs: Sequence[PairObs]):
-    x1 = np.array([p.x1 for p in pairs], dtype=float)
-    y1 = np.array([p.y1 for p in pairs], dtype=float)
-    x2 = np.array([p.x2 for p in pairs], dtype=float)
-    y2 = np.array([p.y2 for p in pairs], dtype=float)
-    w = np.array([p.w for p in pairs], dtype=float)
-    return x1, y1, x2, y2, w
+    def __reduce__(self):           # copy and pickle rebuild through __init__
+        return Pairs, tuple(getattr(self, field) for field in self.__slots__)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def take(self, index) -> Pairs:
+        """The pairs at ``index``, an integer array or a boolean mask, in its order."""
+        return Pairs([self.names[i] for i in np.arange(len(self))[index].tolist()],
+                     *(getattr(self, field)[index] for field in self.__slots__[1:]))
 
 
 class MomentMatrices(NamedTuple):
@@ -90,17 +93,17 @@ class MomentMatrices(NamedTuple):
         return self.A.shape[0] - 1
 
 
-def build_moments(pairs: Sequence[PairObs], with_lane: bool = True) -> MomentMatrices:
+def build_moments(pairs: Pairs, with_lane: bool = True) -> MomentMatrices:
     """Average and difference Gram matrices over the usable pairs.
 
     Row i of the average is [1/2, 1/2, (x1 + x2)/2, 0 | (y1 + y2)/2] and of
     the difference [1, -1, x1 - x2, 2 w | y1 - y2]; the lane column is
     dropped when ``with_lane`` is false.
     """
-    if not pairs:
-        raise InsufficientDataError("no usable pairs")
-    x1, y1, x2, y2, w = _arrays(pairs)
     n = len(pairs)
+    if not n:
+        raise InsufficientDataError("no usable pairs")
+    x1, y1, x2, y2, w = pairs.x1, pairs.y1, pairs.x2, pairs.y2, pairs.w
     ave = [np.full(n, 0.5), np.full(n, 0.5), (x1 + x2) / 2.0, np.zeros(n), (y1 + y2) / 2.0]
     diff = [np.ones(n), np.full(n, -1.0), x1 - x2, w + w, y1 - y2]
     if not with_lane:
@@ -130,13 +133,12 @@ def _residual_sums(m: MomentMatrices, beta: np.ndarray) -> tuple[float, float]:
     return max(m.n * float(b @ m.A @ b), 0.0), max(m.n * float(b @ m.D @ b), 0.0)
 
 
-def day_residuals(pairs: Sequence[PairObs],
-                  beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def day_residuals(pairs: Pairs, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair residuals r1 = y1 - (a1 + b x1 + d w) and
     r2 = y2 - (a2 + b x2 - d w), for beta = (a1, a2, b, d)."""
-    x1, y1, x2, y2, w = _arrays(pairs)
     a1, a2, b, d = beta
-    return y1 - (a1 + b * x1 + d * w), y2 - (a2 + b * x2 - d * w)
+    return (pairs.y1 - (a1 + b * pairs.x1 + d * pairs.w),
+            pairs.y2 - (a2 + b * pairs.x2 - d * pairs.w))
 
 
 def profile_loglik(m: MomentMatrices, rho: float) -> float:
@@ -206,7 +208,7 @@ class FitResult(NamedTuple):
         return float(self.se[3])
 
 
-def fit_ml(pairs: Sequence[PairObs], constraint: str = "free_d") -> FitResult:
+def fit_ml(pairs: Pairs, constraint: str = "free_d") -> FitResult:
     """Maximum-likelihood fit with rho in [0, RHO_MAX].
 
     The profile likelihood is compared at rho = 0, at RHO_MAX and at the
@@ -222,11 +224,8 @@ def fit_ml(pairs: Sequence[PairObs], constraint: str = "free_d") -> FitResult:
     if n < 5:
         raise InsufficientDataError(f"need at least 5 usable pairs, got {n}")
     with_lane = constraint == "free_d"
-    if with_lane:
-        groups = {p.w > 0 for p in pairs}
-        if len(groups) < 2:
-            raise DegenerateDesignError(
-                "all skaters started in the same lane; d is not identifiable")
+    if with_lane and not 0 < np.count_nonzero(pairs.w > 0) < n:
+        raise DegenerateDesignError("all skaters started in the same lane; d is not identifiable")
 
     try:
         with np.errstate(over="raise", invalid="raise"):

@@ -11,14 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PairObs, fit_ml
+from .model import Pairs, fit_ml
 
 _X_MEAN, _X_SD = 10.1, 0.2      # 100 m passing times, seconds
 
 
 def simulate_event(rng: np.random.Generator, n: int, a1: float = 17.0,
                    a2: float = 17.0, b: float = 2.0, d: float = 0.05,
-                   sigma: float = 0.25, kappa: float = 0.30) -> list[PairObs]:
+                   sigma: float = 0.25, kappa: float = 0.30) -> Pairs:
     """Draw one event: normal passing times, balanced shuffled lane draw,
     shared per-skater ability effect, independent per-run noise."""
     x1 = rng.normal(_X_MEAN, _X_SD, n)
@@ -27,8 +27,7 @@ def simulate_event(rng: np.random.Generator, n: int, a1: float = 17.0,
     c = rng.normal(0.0, kappa, n)
     y1 = a1 + b * x1 + c + d * w + rng.normal(0.0, sigma, n)
     y2 = a2 + b * x2 + c - d * w + rng.normal(0.0, sigma, n)
-    return [PairObs(f"s{i:04d}", x1[i], y1[i], x2[i], y2[i], float(w[i]))
-            for i in range(n)]
+    return Pairs(map("s{:04d}".format, range(n)), x1, y1, x2, y2, w)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import pytest
 from lanefair.counterfactual import speculate
 from lanefair.dataset import Lane, OlympicEntry, format_time, load_event, usable_pairs
 from lanefair.diagnostics import clean_and_refit
+from lanefair.model import Pairs
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
@@ -56,8 +57,21 @@ def pipeline(usable):
 @pytest.fixture(scope="session")
 def reference_sets(usable):
     """Estimation sets with the originally removed skaters taken out."""
-    return {y: [p for p in pairs if p.name not in REFERENCE_REMOVALS[y]]
+    return {y: pairs.take(np.array([n not in REFERENCE_REMOVALS[y] for n in pairs.names]))
             for y, (pairs, _) in usable.items()}
+
+
+def make_pairs(rows):
+    """Pairs from (name, x1, y1, x2, y2, w) rows."""
+    rows = list(rows)
+    return Pairs([r[0] for r in rows], *(np.array([r[k] for r in rows], dtype=float)
+                                         for k in range(1, 6)))
+
+
+def pair_rows(pairs):
+    """The (name, x1, y1, x2, y2, w) rows of Pairs, as Python floats."""
+    return list(zip(pairs.names, pairs.x1.tolist(), pairs.y1.tolist(), pairs.x2.tolist(),
+                    pairs.y2.tolist(), pairs.w.tolist()))
 
 
 def serialize_event(ds):
@@ -93,8 +107,7 @@ def design_rows(pairs):
 
     Row i of X1 is (1, 0, x1_i, w_i) and of X2 is (0, 1, x2_i, -w_i).
     """
-    x1, y1, x2, y2, w = (np.array([getattr(p, f) for p in pairs], dtype=float)
-                         for f in ("x1", "y1", "x2", "y2", "w"))
+    x1, y1, x2, y2, w = pairs.x1, pairs.y1, pairs.x2, pairs.y2, pairs.w
     ones, zeros = np.ones(len(pairs)), np.zeros(len(pairs))
     return (np.column_stack([ones, zeros, x1, w]), np.column_stack([zeros, ones, x2, -w]),
             y1, y2)

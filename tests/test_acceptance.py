@@ -27,7 +27,7 @@ from lanefair.dataset import parse_olympic
 from lanefair.diagnostics import (adjusted_differences, clean_and_refit, outlier_scan,
                                   validate_model)
 from lanefair.meta import EventSummary, combine, cross_group_correlation, power_plan, predict_range, split_half
-from lanefair.model import PairObs, build_moments, fit_ml, gls_beta, profile_loglik
+from lanefair.model import Pairs, build_moments, fit_ml, gls_beta, profile_loglik
 from lanefair.simulate import mc_calibration
 
 from conftest import DATA, REFERENCE_REMOVALS, YEARS, design_rows, round_trip
@@ -275,7 +275,7 @@ def test_criterion_10_property_suite(pipeline):
 
     pairs = pipeline[1984].pairs_clean
     base = fit_ml(pairs)
-    flipped = fit_ml([PairObs(p.name, p.x1, p.y1, p.x2, p.y2, -p.w) for p in pairs])
+    flipped = fit_ml(Pairs(pairs.names, pairs.x1, pairs.y1, pairs.x2, pairs.y2, -pairs.w))
     _check(failures, abs(flipped.d + base.d) <= 1e-9,
            f"lane relabel: {flipped.d:.6f} vs {-base.d:.6f}")
 

@@ -316,6 +316,7 @@ def test_mc_needs_two_replicates(capsys):
 # dispersion, a run count, a variance bound that underflows to zero and
 # moments that overflow.
 TINY_SE = "label,d,se\nA,0.05,1e-200\nB,0.04,0.02\n"
+INNER_STARTS = "A,i,36.40,ok\nB,i,36.50,ok\n"     # no time falls as d grows
 HUGE_D = "label,d,se\nA,1e308,0.02\nB,1e308,0.02\n"
 OUT_OF_RANGE = {
     "mc-sigma-underflow": (("mc", "--reps", "3", "--sigma", "1e-200"), 5),
@@ -327,6 +328,7 @@ OUT_OF_RANGE = {
     "meta-opposite-overflows": (("meta", "--summary", "A,1e200,1e-120\nB,-1e200,1e-120\n"), 5),
     "meta-dispersion-overflow": (("meta", "--summary", "A,0,1e-100\nB,1e150,1e-10\n"), 5),
     "power-overflow": (("power", "--sigma", "1e200", "--se", "1e-200"), 5),
+    "speculate-time-beyond-exact-floats": (("speculate", INNER_STARTS, "--d", "1.7e306"), 5),
 }
 
 
@@ -355,10 +357,11 @@ OUT_OF_RANGE = {
       for name, (argv, code) in OUT_OF_RANGE.items() for fmt in ("text", "json")),
 ])
 def test_unusable_arguments_are_compute_errors(capsys, tmp_path, argv, expected):
-    if argv[:2] == ("meta", "--summary"):
-        summary = tmp_path / "summary.csv"
-        summary.write_text(argv[2])
-        argv = (*argv[:2], str(summary), *argv[3:])
+    for k, arg in enumerate(argv):
+        if "\n" in arg:                     # the text of an input file
+            source = tmp_path / "input.csv"
+            source.write_text(arg)
+            argv = (*argv[:k], str(source), *argv[k + 1:])
     code, out, err = run(capsys, *argv)
     assert code == expected and out == ""
     assert err.count("\n") == 1 and err.startswith("lanefair: ")
@@ -409,6 +412,7 @@ def test_byte_order_mark_is_ignored(capsys, tmp_path):
 ESTIMATION_MODULES = ("numpy", "lanefair.model", "lanefair.diagnostics")
 OLYMPIC = str(DATA / "oly1994.csv")
 SUMMARY = str(DATA / "summaries_women.csv")
+FIT_SOURCE = str(DATA / "swc1994.csv")
 
 
 # Standard-library modules that the light calls' start-up time shows: dataclasses
@@ -450,6 +454,11 @@ def test_calls_without_a_list_load_no_counterfactual(call):
 def test_light_text_calls_load_no_dataclasses_inspect_or_json(call):
     expected = "['statistics']" if call == "power" else "[]"
     assert _loaded(LIGHT_CALLS[call], STARTUP_MODULES) == expected
+
+
+def test_fit_text_loads_no_dataclasses():
+    statement = f"from lanefair.cli import main; assert main(['fit', {FIT_SOURCE!r}]) == 0"
+    assert _loaded(statement, ("dataclasses",)) == "[]"
 
 
 def test_package_names_are_their_home_modules_objects():

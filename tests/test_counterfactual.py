@@ -175,6 +175,17 @@ def test_shift_out_of_range_is_rejected(d, fragment):
         speculate(entries, d)
 
 
+def test_shifted_time_of_two_to_the_53_cs_is_rejected():
+    """JSON prints a time as a float, which holds every centisecond only below 2**53."""
+    _, entries = parse_olympic("A,i,36.40,ok\nB,i,36.50,ok\n")
+    with pytest.raises(ValueError, match=r"B a time of 1.7e\+306 s; .* below 2\*\*53 cs"):
+        speculate(entries, 1.7e306)
+    last = [OlympicEntry("A", Lane.OUTER_START, 2 ** 53 - 1, RunStatus.OK)]
+    assert speculate(last, 0.0).entries[0].time_cs == 2 ** 53 - 1
+    with pytest.raises(ValueError, match="below 2"):
+        speculate([last[0]._replace(time_cs=2 ** 53)], 0.0)
+
+
 def test_competition_ranks_share_the_first_rank_of_a_tie():
     assert competition_ranks([3600, 3600, 3610, 3610, 3610, 3620]) == [1, 1, 3, 3, 3, 6]
     assert competition_ranks([]) == []

@@ -30,12 +30,12 @@ def test_jansen_row_parses_exactly():
     assert (s.day1.t100_cs, s.day1.t500_cs) == (982, 3596)
     assert (s.day2.t100_cs, s.day2.t500_cs) == (975, 3576)
     assert s.day1.status is RunStatus.OK and s.day2.status is RunStatus.OK
-    assert usable_pairs(ds)[0][0].w == 0.5
+    assert usable_pairs(ds)[0].w[0] == 0.5
 
 
 def test_inner_start_day1_gives_negative_w():
     ds = parse_event("#event,Calgary,1994\nR.Strom,i,9.99,37.07,ok,o,10.03,36.87,ok\n")
-    assert usable_pairs(ds)[0][0].w == -0.5
+    assert usable_pairs(ds)[0].w[0] == -0.5
 
 
 @pytest.mark.parametrize("row,fragment", [
@@ -176,14 +176,14 @@ def test_usable_counts_per_event(usable):
 
 def test_same_lane_row_kept_under_warn_day1(events):
     pairs, warns = usable_pairs(events[1993], "warn_day1")
-    miyabe = next(p for p in pairs if p.name == "Yuk.Miyabe")
-    assert miyabe.w == 0.5
+    miyabe = pairs.names.index("Yuk.Miyabe")
+    assert pairs.w[miyabe] == 0.5
     assert len(warns) == 1 and "Yuk.Miyabe" in warns[0]
 
 
 def test_same_lane_row_dropped_under_strict(events):
     pairs, warns = usable_pairs(events[1993], "strict")
-    assert all(p.name != "Yuk.Miyabe" for p in pairs)
+    assert all(name != "Yuk.Miyabe" for name in pairs.names)
     assert len(pairs) == 29
     assert len(warns) == 1
 
@@ -195,18 +195,18 @@ def test_unknown_lane_policy_rejected(events):
 
 def test_lane_groups_partition_usable_pairs(usable):
     for pairs, _ in usable.values():
-        plus = sum(1 for p in pairs if p.w == 0.5)
-        minus = sum(1 for p in pairs if p.w == -0.5)
+        plus = sum(1 for w in pairs.w if w == 0.5)
+        minus = sum(1 for w in pairs.w if w == -0.5)
         assert plus + minus == len(pairs)
 
 
 def test_filtering_idempotent(events):
     pairs, _ = usable_pairs(events[1994])
-    names = {p.name for p in pairs}
+    names = set(pairs.names)
     kept = EventDataset("Calgary", 1994,
                         [s for s in events[1994].skaters if s.name in names])
     again, warns = usable_pairs(kept)
-    assert [(p.name, p.w) for p in again] == [(p.name, p.w) for p in pairs]
+    assert list(zip(again.names, again.w)) == list(zip(pairs.names, pairs.w))
     assert not warns
 
 
@@ -222,7 +222,7 @@ def test_event_with_no_usable_pairs():
             "A,o,9.82,35.96,ok,i,9.75,,fell\n"
             "B,i,9.92,36.96,ok,o,9.85,,fell\n")
     pairs, _ = usable_pairs(parse_event(text))
-    assert pairs == []
+    assert len(pairs) == 0 and pairs.names == ()
 
 
 def test_statuses_without_times(events):
@@ -315,7 +315,10 @@ def test_skaters_built_on_read_match_an_eager_parse(source):
 def test_header_only_event_has_empty_columns():
     ds = parse_event("#event,V,1990\n")
     assert ds == EventDataset("V", 1990, []) and ds.skaters == []
-    assert serialize_event(ds) == "#event,V,1990\n" and usable_pairs(ds) == ([], [])
+    pairs, warnings = usable_pairs(ds)
+    assert serialize_event(ds) == "#event,V,1990\n" and (pairs.names, warnings) == ((), [])
+    assert all(column.shape == (0,) for column in (pairs.x1, pairs.y1, pairs.x2, pairs.y2,
+                                                   pairs.w))
 
 
 def test_event_fields_are_the_columns():
@@ -344,3 +347,20 @@ def test_parse_allocates_no_record_per_row():
         gc.enable()
     assert added < 100, f"{added} objects kept by one parse"
     assert len(ds.skaters) == 2500
+
+
+def test_usable_pairs_allocates_no_record_per_pair():
+    from test_diagnostics import _large_field_text
+
+    ds = parse_event(_large_field_text())
+    usable_pairs(ds)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        pairs, _ = usable_pairs(ds)
+        added = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert added < 100, f"{added} objects kept by one usable_pairs"
+    assert len(pairs) > 2300

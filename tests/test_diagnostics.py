@@ -8,14 +8,14 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import DATA, serialize_event
+from conftest import DATA, make_pairs, pair_rows, serialize_event
 from lanefair import diagnostics
 from lanefair.dataset import (DEFAULT_THRESHOLD, Lane, RunStatus, load_event, parse_event,
                               usable_pairs)
 from lanefair.diagnostics import (adjusted_differences, clean_and_refit,
                                   gaussian_kde_curve, outlier_scan,
                                   validate_model)
-from lanefair.model import FitResult, PairObs, day_residuals, fit_ml
+from lanefair.model import FitResult, day_residuals, fit_ml
 from lanefair.simulate import simulate_event
 
 # What the screening pass flags on each championship, fit on all usable pairs.
@@ -51,9 +51,9 @@ def test_zero_residuals_give_zero_statistics():
     for i in range(6):
         w = 0.5 if i % 2 else -0.5
         x1, x2 = 10.0 + 0.1 * i, 10.05 + 0.1 * i
-        pairs.append(PairObs(str(i), x1, 17.0 + 2.0 * x1 + 0.04 * w,
-                             x2, 17.2 + 2.0 * x2 - 0.04 * w, w))
-    report = outlier_scan(pairs, fit)
+        pairs.append((str(i), x1, 17.0 + 2.0 * x1 + 0.04 * w,
+                      x2, 17.2 + 2.0 * x2 - 0.04 * w, w))
+    report = outlier_scan(make_pairs(pairs), fit)
     for rec in report.records:
         assert (rec.t1, rec.t2, rec.t3) == (0.0, 0.0, 0.0)
         assert not rec.flagged
@@ -76,11 +76,11 @@ def test_every_flag_combination_is_tagged_in_order():
     for i, (t1, t2) in enumerate(FLAG_CASES):
         w = 0.5 if i % 2 else -0.5
         x1, x2 = 10.0 + 0.1 * i, 10.05 + 0.1 * i
-        pairs.append(PairObs(f"{t1},{t2}", x1, 17.0 + 2.0 * x1 + 0.04 * w + t1 * scale,
-                             x2, 17.2 + 2.0 * x2 - 0.04 * w + t2 * scale, w))
-    report = outlier_scan(pairs, fit)
+        pairs.append((f"{t1},{t2}", x1, 17.0 + 2.0 * x1 + 0.04 * w + t1 * scale,
+                      x2, 17.2 + 2.0 * x2 - 0.04 * w + t2 * scale, w))
+    report = outlier_scan(make_pairs(pairs), fit)
     assert [r.flagged_by for r in report.records] == list(FLAG_CASES.values())
-    assert report.flagged_names == [p.name for p in pairs][1:]
+    assert report.flagged_names == [p[0] for p in pairs][1:]
 
 
 def test_records_cannot_be_assigned(pipeline):
@@ -180,9 +180,9 @@ def _reference_usable_pairs(ds):
             continue
         if day1.lane is day2.lane:
             warnings.append(f"{s.name}: same starting lane on both days (kept, w from day 1)")
-        out.append(PairObs(s.name, day1.t100_cs / 100.0, day1.t500_cs / 100.0,
-                           day2.t100_cs / 100.0, day2.t500_cs / 100.0,
-                           0.5 if day1.lane is Lane.OUTER_START else -0.5))
+        out.append((s.name, day1.t100_cs / 100.0, day1.t500_cs / 100.0,
+                    day2.t100_cs / 100.0, day2.t500_cs / 100.0,
+                    0.5 if day1.lane is Lane.OUTER_START else -0.5))
     return out, warnings
 
 
@@ -191,16 +191,16 @@ def _reference_flags(pairs, fit, threshold=2.75):
     marginal = math.hypot(fit.sigma_un, fit.kappa_un)
     t1, t2 = r1 / marginal, r2 / marginal
     t3 = (r2 - r1) / (math.sqrt(2.0) * fit.sigma_un)
-    return [(p.name, a, b, c, tuple(tag for tag, hit in zip(
+    return [(name, a, b, c, tuple(tag for tag, hit in zip(
         ("T1", "T2", "T3"), (abs(a) > threshold, abs(b) > threshold, abs(c) >= threshold))
-        if hit)) for p, a, b, c in zip(pairs, t1.tolist(), t2.tolist(), t3.tolist())]
+        if hit)) for name, a, b, c in zip(pairs.names, t1.tolist(), t2.tolist(), t3.tolist())]
 
 
 def _reference_validation(pairs, fit):
     r1, r2 = day_residuals(pairs, fit.beta)
     ave = 0.5 * (r1 + r2) / math.sqrt(fit.kappa_un ** 2 + fit.sigma_un ** 2 / 2.0)
     diff = (r2 - r1) / (math.sqrt(2.0) * fit.sigma_un)
-    return list(zip([p.name for p in pairs], ave.tolist(), diff.tolist()))
+    return list(zip(pairs.names, ave.tolist(), diff.tolist()))
 
 
 def _reference_adjusted(pairs):
@@ -208,30 +208,52 @@ def _reference_adjusted(pairs):
     r1, r2 = day_residuals(pairs, fit0.beta)
     D = r2 - r1
     star = D / (math.sqrt(2.0) * fit0.sigma_un)
-    return [(p.name, p.w, dd, ds_) for p, dd, ds_ in zip(pairs, D.tolist(), star.tolist())]
+    return list(zip(pairs.names, pairs.w.tolist(), D.tolist(), star.tolist()))
+
+
+def _fit_fields(fit):
+    return [v.tolist() if isinstance(v, np.ndarray) else v for v in fit]
+
+
+def _check_against_the_row_by_row_reference(ds):
+    """The columns of usable_pairs equal the row-by-row arithmetic of the
+    reference, and every fit, flag, removal, kept set and record of the
+    pipeline equals the one built from the reference rows, bit for bit."""
+    pairs, warnings = usable_pairs(ds)
+    rows, reference_warnings = _reference_usable_pairs(ds)
+    assert (pair_rows(pairs), warnings) == (rows, reference_warnings)
+
+    cleaned = clean_and_refit(pairs, warnings=warnings)
+    first = fit_ml(make_pairs(rows))
+    flags = _reference_flags(pairs, first)
+    removed = tuple(name for name, *_, tags in flags if tags)
+    kept = make_pairs(row for row in rows if row[0] not in removed)
+    assert _fit_fields(cleaned.first_fit) == _fit_fields(first)
+    assert [tuple(r) for r in cleaned.report.records] == flags
+    assert cleaned.removed == removed
+    assert pair_rows(cleaned.pairs_clean) == pair_rows(kept)
+    assert _fit_fields(cleaned.fit) == _fit_fields(fit_ml(kept))
+
+    assert [tuple(r) for r in validate_model(kept, cleaned.fit).records] == (
+        _reference_validation(kept, cleaned.fit))
+    adjusted = adjusted_differences(kept)
+    assert [tuple(r) for r in adjusted.records] == _reference_adjusted(kept)
+    assert _fit_fields(adjusted.fit_zero_d) == _fit_fields(
+        fit_ml(make_pairs(pair_rows(kept)), constraint="d_equals_zero"))
+    return pairs, warnings, removed
 
 
 def test_large_field_matches_the_frozen_dataclass_reference():
     text = _large_field_text()
     ds = parse_event(text)
     assert len(ds.skaters) == 2500 and serialize_event(ds) == text
-    pairs, warnings = usable_pairs(ds)
-    assert (pairs, warnings) == _reference_usable_pairs(ds)
-    assert 2300 < len(pairs) < 2500 and warnings
+    pairs, warnings, removed = _check_against_the_row_by_row_reference(ds)
+    assert 2300 < len(pairs) < 2500 and warnings and len(removed) >= 20
 
-    cleaned = clean_and_refit(pairs, warnings=warnings)
-    first = fit_ml(pairs)
-    flags = _reference_flags(pairs, first)
-    removed = tuple(name for name, *_, tags in flags if tags)
-    kept = tuple(p for p in pairs if p.name not in removed)
-    assert [tuple(r) for r in cleaned.report.records] == flags
-    assert cleaned.removed == removed and len(removed) >= 20
-    assert cleaned.pairs_clean == kept
-    assert np.array_equal(cleaned.fit.beta, fit_ml(kept).beta)
 
-    assert [tuple(r) for r in validate_model(kept, cleaned.fit).records] == (
-        _reference_validation(kept, cleaned.fit))
-    assert [tuple(r) for r in adjusted_differences(kept).records] == _reference_adjusted(kept)
+def test_swc_events_match_the_row_by_row_reference(events):
+    for ds in events.values():
+        _check_against_the_row_by_row_reference(ds)
 
 
 @pytest.mark.parametrize("source", ["swc", "large field"])
@@ -287,14 +309,14 @@ def test_threshold_is_configurable(usable):
 
 
 def test_later_screen_leaves_earlier_result_unchanged():
-    # Both calls see the same SkaterPair objects through their PairObs; the
-    # second, stricter screen must not alter what the first one returned.
+    # Both calls screen the same Pairs; the second, stricter screen must
+    # not alter what the first one returned.
     pairs, _ = usable_pairs(load_event(DATA / "swc1988.csv"))
     first = clean_and_refit(pairs)
     before = copy.deepcopy(first.pairs_clean)
     second = clean_and_refit(pairs, threshold=2.5)
     assert first.removed == () and second.removed == ("Y.Mitani",)
-    assert first.pairs_clean == before
+    assert pair_rows(first.pairs_clean) == pair_rows(before)
 
 
 def null_flag_rates(events: int = 200, n: int = 250, seed: int = 11,
@@ -355,7 +377,7 @@ def test_standardized_sets_centered_and_scaled(pipeline):
 def test_validation_needs_eight_pairs(pipeline):
     cleaned = pipeline[1994]
     with pytest.raises(ValueError, match="at least 8"):
-        validate_model(cleaned.pairs_clean[:7], cleaned.fit)
+        validate_model(cleaned.pairs_clean.take(np.arange(7)), cleaned.fit)
 
 
 def test_moment_bands_cover_normal_samples():
@@ -489,8 +511,8 @@ def test_identical_days_zero_adjusted_differences():
     for i in range(10):
         x = 10.0 + 0.1 * i
         y = 17.0 + 2.0 * x + 0.07 * (i % 3)
-        pairs.append(PairObs(str(i), x, y, x, y, 0.5 if i % 2 else -0.5))
-    ad = adjusted_differences(pairs)
+        pairs.append((str(i), x, y, x, y, 0.5 if i % 2 else -0.5))
+    ad = adjusted_differences(make_pairs(pairs))
     for r in ad.records:
         assert abs(r.D) <= 1e-9
 

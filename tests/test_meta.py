@@ -12,10 +12,10 @@ from lanefair.meta import (EventSummary, MetaError, SplitContrast, SplitEntry,
                            combine, cross_group_correlation, heterogeneity,
                            power_plan, predict_range, read_summaries, split_half,
                            summaries_from_events)
-from lanefair.model import PairObs, fit_ml
+from lanefair.model import fit_ml
 from lanefair.simulate import simulate_event
 
-from conftest import DATA
+from conftest import DATA, make_pairs, pair_rows
 
 MEN = [
     ("1984 Trondheim", 0.131, 0.038), ("1985 Heerenveen", 0.090, 0.058),
@@ -203,9 +203,9 @@ def test_split_half_reference_value(pipeline):
 def test_split_half_identical_halves_gives_zero_contrast():
     rng = np.random.default_rng(13)
     fast = simulate_event(rng, 12, a1=16.0, a2=16.0)
-    slow = [PairObs(p.name + "s", p.x1, p.y1 + 10.0, p.x2, p.y2 + 10.0, p.w)
-            for p in fast]
-    contrast = split_half([("dup", fast + slow)])
+    slow = [(name + "s", x1, y1 + 10.0, x2, y2 + 10.0, w)
+            for name, x1, y1, x2, y2, w in pair_rows(fast)]
+    contrast = split_half([("dup", make_pairs(pair_rows(fast) + slow))])
     assert contrast.combined_delta == pytest.approx(0.0, abs=1e-9)
 
 
@@ -214,29 +214,30 @@ def test_split_half_recovers_injected_contrast():
     events = []
     for k in range(8):
         best = simulate_event(rng, 15, a1=15.0, a2=15.0, d=0.0)
-        rest = [PairObs(p.name + "r", p.x1, p.y1 + 3.0, p.x2, p.y2 + 3.0, p.w)
-                for p in simulate_event(rng, 15, a1=15.0, a2=15.0, d=0.1)]
-        events.append((str(k), best + rest))
+        rest = [(name + "r", x1, y1 + 3.0, x2, y2 + 3.0, w) for name, x1, y1, x2, y2, w
+                in pair_rows(simulate_event(rng, 15, a1=15.0, a2=15.0, d=0.1))]
+        events.append((str(k), make_pairs(pair_rows(best) + rest)))
     contrast = split_half(events)
     assert abs(contrast.combined_delta - (-0.1)) <= 3.0 * contrast.combined_se
 
 
 def _halves_by_sort_key(pairs):
-    """Best and rest halves ranked by sorted() on (average, day-1 time, entry index)."""
-    ranked = sorted(enumerate(pairs),
-                    key=lambda ip: (0.5 * (ip[1].y1 + ip[1].y2), ip[1].y1, ip[0]))
-    ordered = [p for _, p in ranked]
+    """Best and rest halves, as rows, ranked by sorted() on (average, day-1 time,
+    entry index)."""
+    ranked = sorted(enumerate(pair_rows(pairs)),
+                    key=lambda ir: (0.5 * (ir[1][2] + ir[1][4]), ir[1][2], ir[0]))
+    ordered = [r for _, r in ranked]
     return ordered[:len(ordered) // 2], ordered[len(ordered) // 2:]
 
 
 def test_split_half_ranks_ties_like_the_sort_key(monkeypatch):
     rng = np.random.default_rng(19)
     times = rng.choice([39.0, 39.5, 40.0, 40.5, 41.0], size=(16, 2))   # ties in both keys
-    pairs = [PairObs(f"S{i}", 10.0, y1, 10.1, y2, 0.5 - i % 2) for i, (y1, y2) in
-             enumerate(times.tolist())]
+    pairs = make_pairs((f"S{i}", 10.0, y1, 10.1, y2, 0.5 - i % 2) for i, (y1, y2) in
+                       enumerate(times.tolist()))
     fitted = []
-    monkeypatch.setattr(model, "fit_ml",
-                        lambda ps: fitted.append(list(ps)) or SimpleNamespace(d=0.0, se_d=1.0))
+    monkeypatch.setattr(model, "fit_ml", lambda ps: fitted.append(pair_rows(ps))
+                        or SimpleNamespace(d=0.0, se_d=1.0))
     split_half([("ties", pairs)])
     assert fitted == [*_halves_by_sort_key(pairs)]
 
@@ -245,7 +246,7 @@ def test_split_half_on_bundled_events_matches_the_sort_key(pipeline):
     events = [(str(y), c.pairs_clean) for y, c in pipeline.items()]
     entries = []
     for label, pairs in events:
-        best, rest = (fit_ml(half) for half in _halves_by_sort_key(pairs))
+        best, rest = (fit_ml(make_pairs(half)) for half in _halves_by_sort_key(pairs))
         entries.append(SplitEntry(label, best.d, best.se_d, rest.d, rest.se_d))
     pooled = combine([EventSummary(e.label, e.d_best - e.d_rest, math.hypot(e.se_best, e.se_rest))
                       for e in entries])
@@ -254,7 +255,7 @@ def test_split_half_on_bundled_events_matches_the_sort_key(pipeline):
 
 
 def test_split_half_skips_tiny_events(pipeline):
-    small = list(pipeline[1994].pairs_clean[:8])
+    small = pipeline[1994].pairs_clean.take(np.arange(8))
     contrast = split_half([("small", small), ("full", pipeline[1994].pairs_clean)])
     assert len(contrast.per_event) == 1
     assert any("small" in w for w in contrast.warnings)

@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lanefair.model import (RHO_MAX, DegenerateDesignError,
-                            InsufficientDataError, PairObs, build_moments,
+                            InsufficientDataError, Pairs, build_moments,
                             day_residuals, fit_ml, gls_beta, profile_loglik)
 from lanefair.simulate import simulate_event
 
-from conftest import design_rows
+from conftest import design_rows, make_pairs, pair_rows
 
 # Reference per-event estimates (a1, a2, b, d, rho, sigma, kappa) and se(d)
 # from the original championship analyses; reproduced on the matching
@@ -31,7 +35,7 @@ REFERENCE_FITS = {
 
 
 def _pair(name, x1, y1, x2, y2, w):
-    return PairObs(name, x1, y1, x2, y2, w)
+    return name, x1, y1, x2, y2, w
 
 
 def q_components(pairs, beta):
@@ -53,8 +57,8 @@ def test_reference_fits_reproduced(reference_sets):
 def test_moments_balanced_two_pairs():
     # The difference rows carry 2w in the d column, so D[3, 3] = ave(4 w^2)
     # and D[0, 3] = ave(2w); the lane term cancels from the average rows.
-    pairs = [_pair("a", 10.0, 37.0, 10.0, 37.0, 0.5),
-             _pair("b", 10.0, 37.0, 10.0, 37.0, -0.5)]
+    pairs = make_pairs([_pair("a", 10.0, 37.0, 10.0, 37.0, 0.5),
+                        _pair("b", 10.0, 37.0, 10.0, 37.0, -0.5)])
     m = build_moments(pairs)
     assert m.D[3, 3] == pytest.approx(1.0)
     assert m.D[0, 3] == pytest.approx(0.0)
@@ -62,15 +66,15 @@ def test_moments_balanced_two_pairs():
 
 
 def test_moments_single_pair():
-    m = build_moments([_pair("a", 10.0, 37.0, 10.0, 37.0, 0.5)])
+    m = build_moments(make_pairs([_pair("a", 10.0, 37.0, 10.0, 37.0, 0.5)]))
     assert m.D[0, 3] == pytest.approx(1.0)
 
 
 def test_moments_calgary_lane_split(pipeline):
     kept = pipeline[1994].pairs_clean
     assert len(kept) == 28
-    assert sum(1 for p in kept if p.w == 0.5) == 13
-    assert sum(1 for p in kept if p.w == -0.5) == 15
+    assert np.count_nonzero(kept.w == 0.5) == 13
+    assert np.count_nonzero(kept.w == -0.5) == 15
     m = build_moments(kept)
     assert m.D[0, 3] == pytest.approx(2 * -1.0 / 28)
 
@@ -116,15 +120,15 @@ def test_gls_calgary_at_reference_rho(reference_sets):
 
 
 def test_q_components_zero_residuals():
-    pairs = [_pair(str(i), 10.0 + i, 17.0 + 2 * (10.0 + i), 10.5 + i,
-                   17.0 + 2 * (10.5 + i), 0.5 if i % 2 else -0.5)
-             for i in range(6)]
+    pairs = make_pairs(_pair(str(i), 10.0 + i, 17.0 + 2 * (10.0 + i), 10.5 + i,
+                             17.0 + 2 * (10.5 + i), 0.5 if i % 2 else -0.5)
+                       for i in range(6))
     beta = np.array([17.0, 17.0, 2.0, 0.0])
     assert q_components(pairs, beta) == (0.0, 0.0, 0.0)
 
 
 def test_q_components_single_pair_direct():
-    pairs = [_pair("a", 3.0, 1.0, 4.0, 2.0, 0.5)]
+    pairs = make_pairs([_pair("a", 3.0, 1.0, 4.0, 2.0, 0.5)])
     q1, q2, q3 = q_components(pairs, np.zeros(4))
     assert (q1, q2, q3) == pytest.approx((1.0, 4.0, 2.0))
 
@@ -153,9 +157,9 @@ def test_sigma_estimating_equations_agree(reference_sets):
 
 
 def _repeated_days():
-    return [_pair(str(i), 10.0 + 0.1 * i, 36.0 + 0.25 * i + 0.07 * (i % 3),
-                  10.0 + 0.1 * i, 36.0 + 0.25 * i + 0.07 * (i % 3),
-                  0.5 if i % 2 else -0.5) for i in range(10)]
+    return make_pairs(_pair(str(i), 10.0 + 0.1 * i, 36.0 + 0.25 * i + 0.07 * (i % 3),
+                            10.0 + 0.1 * i, 36.0 + 0.25 * i + 0.07 * (i % 3),
+                            0.5 if i % 2 else -0.5) for i in range(10))
 
 
 def test_profile_increases_with_perfectly_repeated_days():
@@ -246,8 +250,8 @@ def test_complex_roots_are_not_candidates():
 
 def test_design_singular_at_every_rho_is_degenerate():
     # x = 0 throughout: the slope column is zero, so M_rho is singular for all rho.
-    pairs = [_pair(str(i), 0.0, 37.0 + 0.1 * i, 0.0, 37.2 - 0.05 * i, (-1) ** i * 0.5)
-             for i in range(8)]
+    pairs = make_pairs(_pair(str(i), 0.0, 37.0 + 0.1 * i, 0.0, 37.2 - 0.05 * i,
+                             (-1) ** i * 0.5) for i in range(8))
     with pytest.raises(DegenerateDesignError):
         fit_ml(pairs)
     m = build_moments(pairs)
@@ -257,34 +261,36 @@ def test_design_singular_at_every_rho_is_degenerate():
 
 
 def test_fit_requires_five_pairs():
-    pairs = [_pair(str(i), 10.0, 37.0 + i * 0.1, 10.0, 37.0, (-1) ** i * 0.5)
-             for i in range(4)]
+    pairs = make_pairs(_pair(str(i), 10.0, 37.0 + i * 0.1, 10.0, 37.0, (-1) ** i * 0.5)
+                       for i in range(4))
     with pytest.raises(InsufficientDataError):
         fit_ml(pairs)
 
 
 def test_fit_requires_both_lane_groups():
-    pairs = [_pair(str(i), 10.0 + 0.1 * i, 37.0 + 0.2 * i + 0.05 * (i % 3),
-                   10.1 + 0.1 * i, 37.1 + 0.2 * i - 0.05 * (i % 2), 0.5)
-             for i in range(8)]
-    with pytest.raises(DegenerateDesignError):
-        fit_ml(pairs)
-    fit_ml(pairs, constraint="d_equals_zero")  # identifiable without the lane column
+    for w in (0.5, -0.5):
+        pairs = make_pairs(_pair(str(i), 10.0 + 0.1 * i, 37.0 + 0.2 * i + 0.05 * (i % 3),
+                                 10.1 + 0.1 * i, 37.1 + 0.2 * i - 0.05 * (i % 2), w)
+                           for i in range(8))
+        with pytest.raises(DegenerateDesignError, match="same lane"):
+            fit_ml(pairs)
+        fit_ml(pairs, constraint="d_equals_zero")  # identifiable without the lane column
 
 
 def test_mirror_symmetric_data_gives_exactly_zero_d():
     rng = np.random.default_rng(5)
     half = simulate_event(rng, 10, d=0.2)
-    mirrored = half + [PairObs(p.name + "'", p.x1, p.y1, p.x2, p.y2, -p.w)
-                       for p in half]
+    mirrored = Pairs(half.names + tuple(n + "'" for n in half.names),
+                     *(np.concatenate([c, c]) for c in (half.x1, half.y1, half.x2, half.y2)),
+                     np.concatenate([half.w, -half.w]))
     assert abs(fit_ml(mirrored).d) <= 1e-10
 
 
 def test_shift_invariance(reference_sets):
     pairs = reference_sets[1989]
     base = fit_ml(pairs)
-    shifted = fit_ml([PairObs(p.name, p.x1, p.y1 + 5.0, p.x2, p.y2 + 5.0, p.w)
-                      for p in pairs])
+    shifted = fit_ml(Pairs(pairs.names, pairs.x1, pairs.y1 + 5.0, pairs.x2, pairs.y2 + 5.0,
+                           pairs.w))
     assert shifted.a1 == pytest.approx(base.a1 + 5.0, abs=1e-9)
     assert shifted.a2 == pytest.approx(base.a2 + 5.0, abs=1e-9)
     for attr in ("b", "d", "rho", "sigma_un", "kappa_un"):
@@ -294,7 +300,7 @@ def test_shift_invariance(reference_sets):
 def test_lane_relabel_negates_d(reference_sets):
     pairs = reference_sets[1984]
     base = fit_ml(pairs)
-    flipped = fit_ml([PairObs(p.name, p.x1, p.y1, p.x2, p.y2, -p.w) for p in pairs])
+    flipped = fit_ml(Pairs(pairs.names, pairs.x1, pairs.y1, pairs.x2, pairs.y2, -pairs.w))
     assert flipped.d == pytest.approx(-base.d, abs=1e-9)
     for attr in ("a1", "a2", "b", "rho", "sigma_un", "kappa_un"):
         assert getattr(flipped, attr) == pytest.approx(getattr(base, attr), abs=1e-9)
@@ -335,7 +341,7 @@ def test_boundary_rho_reports_zero_kappa():
         e = 0.1 if i % 2 else -0.1
         pairs.append(_pair(str(i), x, 17.0 + 2 * x + e, x, 17.0 + 2 * x - e,
                            0.5 if i < 6 else -0.5))
-    fit = fit_ml(pairs)
+    fit = fit_ml(make_pairs(pairs))
     assert fit.rho == 0.0
     assert fit.kappa_un == 0.0
 
@@ -347,10 +353,50 @@ def test_fit_ml_tracks_difference_ols_on_synthetic():
         pairs = simulate_event(rng, 40)
         full = fit_ml(pairs)
         X = np.column_stack([np.ones(len(pairs)),
-                             [p.x2 - p.x1 for p in pairs],
-                             [-2 * p.w for p in pairs]])
-        y = np.array([p.y2 - p.y1 for p in pairs])
+                             pairs.x2 - pairs.x1, -2 * pairs.w])
+        y = pairs.y2 - pairs.y1
         coef, rss, *_ = np.linalg.lstsq(X, y, rcond=None)
         cov = float(rss[0]) / (len(pairs) - 3) * np.linalg.inv(X.T @ X)
         joint = math.hypot(full.se_d, math.sqrt(cov[2, 2]))
         assert abs(coef[2] - full.d) <= 3.0 * joint
+
+
+def test_pairs_are_read_only_columns(usable):
+    pairs, _ = usable[1994]
+    assert len(pairs) == len(pairs.names) == 30 and isinstance(pairs.names, tuple)
+    for column in (pairs.x1, pairs.y1, pairs.x2, pairs.y2, pairs.w):
+        assert column.dtype == np.float64 and column.shape == (30,)
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[0]
+    for field in ("names", "x1", "w", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(pairs, field, None)
+    for twin in (copy.deepcopy(pairs), pickle.loads(pickle.dumps(pairs))):
+        assert pair_rows(twin) == pair_rows(pairs)
+    with pytest.raises(ValueError, match="five columns"):
+        Pairs(["a", "b"], [1.0], [2.0], [3.0], [4.0], [0.5])
+
+
+def test_pairs_copy_their_columns_and_take_rows_in_index_order():
+    x1 = np.array([10.0, 10.1, 10.2])
+    pairs = Pairs("abc", x1, x1 + 27.0, x1 + 0.05, x1 + 27.1, [0.5, -0.5, 0.5])
+    x1[0] = 0.0
+    rows = pair_rows(pairs)
+    assert rows[0] == ("a", 10.0, 37.0, 10.05, 37.1, 0.5)
+    assert pair_rows(pairs.take(np.array([2, 0]))) == [rows[2], rows[0]]
+    assert pair_rows(pairs.take(pairs.w > 0)) == [rows[0], rows[2]]
+    assert len(pairs.take(np.zeros(3, dtype=bool))) == 0
+
+
+PERMUTATION = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@PERMUTATION
+@given(st.integers(0, 2 ** 32 - 1), st.integers(6, 60), st.data())
+def test_row_permutation_leaves_the_fit_unchanged(seed, n, data):
+    """Row order moves only the summation order, so the last bits at most."""
+    pairs = simulate_event(np.random.default_rng(seed), n)
+    order = np.array(data.draw(st.permutations(range(n))))
+    base, permuted = fit_ml(pairs), fit_ml(pairs.take(order))
+    for attr in ("d", "se_d", "rho"):
+        assert getattr(permuted, attr) == pytest.approx(getattr(base, attr), rel=1e-10), attr

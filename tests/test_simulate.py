@@ -7,20 +7,21 @@ import numpy as np
 
 from lanefair.simulate import mc_calibration, simulate_event
 
+from conftest import pair_rows
+
 
 def test_simulated_event_shape_and_balance():
     rng = np.random.default_rng(0)
     pairs = simulate_event(rng, 30)
     assert len(pairs) == 30
-    assert sum(1 for p in pairs if p.w == 0.5) == 15
-    assert {p.w for p in pairs} == {0.5, -0.5}
+    assert sum(1 for w in pairs.w if w == 0.5) == 15
+    assert set(pairs.w.tolist()) == {0.5, -0.5}
 
 
 def test_simulation_is_seed_deterministic():
     a = simulate_event(np.random.default_rng(9), 12)
     b = simulate_event(np.random.default_rng(9), 12)
-    assert [(p.x1, p.y1, p.x2, p.y2, p.w) for p in a] == \
-        [(p.x1, p.y1, p.x2, p.y2, p.w) for p in b]
+    assert pair_rows(a) == pair_rows(b)
 
 
 def test_mc_calibration_repeatable_and_centered():
