@@ -23,6 +23,10 @@ _HOME_OF = {name: module for module, names in _HOMES.items() for name in names.s
 __all__ = list(_HOME_OF)
 __version__ = "0.1.0"
 
+# Outlier-screen threshold on |t|; here so every CLI call can default to it without
+# loading numpy or compiling the parsers.
+DEFAULT_THRESHOLD = 2.75
+
 
 def __getattr__(name: str):
     if name not in _HOME_OF:

@@ -12,8 +12,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from . import report
-from .dataset import DEFAULT_THRESHOLD, ParseError, parse_event, parse_olympic, usable_pairs
+from . import DEFAULT_THRESHOLD, report
 
 EXIT_OK = 0
 EXIT_IO = 3
@@ -59,6 +58,8 @@ def _render(output: str, fmt: str, *result) -> str:
 
 
 def _load_events(paths):
+    from .dataset import ParseError, parse_event
+
     events = []
     for path in paths:
         text = _read(path)
@@ -68,6 +69,7 @@ def _load_events(paths):
 
 
 def _clean_all(events, lane_policy: str, threshold: float):
+    from .dataset import usable_pairs
     from .diagnostics import clean_and_refit
     from .model import FitError
 
@@ -115,6 +117,7 @@ def cmd_meta(args) -> int:
 
 def cmd_speculate(args) -> int:
     from .counterfactual import speculate
+    from .dataset import ParseError, parse_olympic
 
     text_in = _read(args.file)
     with _exit_on(ParseError, EXIT_PARSE, f"{args.file}: "):

@@ -7,10 +7,10 @@ A two-day championship file is a line-oriented CSV, one skater per line::
 
 An Olympic single-run list has ``name,lane,time,status`` rows under the same
 header, which it may omit.  The year is an integer in canonical decimal form,
-lane is in {i, o}, times are seconds with exactly two fractional digits (or
-empty when missing), and status is one of ok, fell, dq, dnf, dns, wd.  Times
-are stored as integer centiseconds so ingestion is exact; estimation code
-converts to float.
+lane is in {i, o}, times are seconds with exactly two fractional digits, below
+2**53 centiseconds (or empty when missing), and status is one of ok, fell, dq,
+dnf, dns, wd.  Times are stored as integer centiseconds so ingestion is exact;
+estimation code converts to float.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:       # importing model loads numpy; usable_pairs does so when called
     from .model import Pairs
-
-# Outlier-screen threshold on |t|; here so the CLI can default to it without numpy.
-DEFAULT_THRESHOLD = 2.75
 
 
 class ParseError(ValueError):
@@ -60,19 +57,6 @@ class Run(NamedTuple):
     t500_cs: int | None
     status: RunStatus
 
-    @property
-    def t100(self) -> float | None:
-        return None if self.t100_cs is None else self.t100_cs / 100.0
-
-    @property
-    def t500(self) -> float | None:
-        return None if self.t500_cs is None else self.t500_cs / 100.0
-
-    @property
-    def complete(self) -> bool:
-        return (self.status is _OK and self.t100_cs is not None
-                and self.t500_cs is not None)
-
 
 class SkaterPair(NamedTuple):
     """One skater's two-day record."""
@@ -81,10 +65,6 @@ class SkaterPair(NamedTuple):
     day1: Run
     day2: Run
     note: str = ""
-
-    @property
-    def usable(self) -> bool:
-        return self.day1.complete and self.day2.complete
 
 
 class EventDataset(namedtuple("EventDataset", "venue year names day1 day2 notes")):
@@ -166,7 +146,10 @@ def _parse_time(token: str, line: int) -> int | None:
     whole, dot, frac = token.partition(".")
     if not (dot and len(frac) == 2 and token.isascii() and whole.isdigit() and frac.isdigit()):
         raise ParseError(f"time {token!r} is not a centisecond multiple", line)
-    return int(whole) * 100 + int(frac)
+    whole = whole.lstrip("0")       # int() refuses 4,301 digits; 15 already pass 2**53 cs
+    if len(whole) > 14 or (cs := int(whole or 0) * 100 + int(frac)) >= 2 ** 53:
+        raise ParseError("time of 2**53 centiseconds or more", line)
+    return cs
 
 
 def format_time(cs: int | None) -> str:

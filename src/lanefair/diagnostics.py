@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import DEFAULT_THRESHOLD
+from . import DEFAULT_THRESHOLD
 from .model import FitResult, Pairs, day_residuals, fit_ml
 
 _KDE_GRIDSIZE = 512
@@ -33,10 +33,6 @@ class OutlierRecord(NamedTuple):
     t2: float
     t3: float
     flagged_by: tuple[str, ...]
-
-    @property
-    def flagged(self) -> bool:
-        return bool(self.flagged_by)
 
 
 class OutlierReport(NamedTuple):
@@ -116,9 +112,7 @@ class KdeCurve(NamedTuple):
 
 
 def _kde_bandwidth(v: np.ndarray, bandwidth: float | str) -> float:
-    """The kernel width for values v: 1.06 s n^(-1/5) for "silverman"."""
-    if v.size < 2:
-        raise ValueError("need at least 2 values for a density estimate")
+    """The kernel width for values v: 1.06 s n^(-1/5) (Silverman's rule) for "silverman"."""
     h = (1.06 * float(np.std(v, ddof=1)) * v.size ** (-0.2) if bandwidth == "silverman"
          else float(bandwidth))
     if not 0.0 < h < math.inf:
@@ -126,26 +120,16 @@ def _kde_bandwidth(v: np.ndarray, bandwidth: float | str) -> float:
     return h
 
 
-def gaussian_kde_curve(values: Sequence[float], bandwidth: float | str = "silverman") -> KdeCurve:
-    """Gaussian-kernel density on a regular grid spanning the data +-3h.
-
-    The default bandwidth is 1.06 s n^(-1/5) with s the sample standard
-    deviation.
-    """
+def gaussian_kde_curve(values: Sequence[float], h: float) -> KdeCurve:
+    """Gaussian-kernel density of kernel width h on a regular grid spanning the data +-3h."""
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {h}")
     v = np.asarray(values, dtype=float)
-    h = _kde_bandwidth(v, bandwidth)
     grid = np.linspace(v.min() - 3.0 * h, v.max() + 3.0 * h, _KDE_GRIDSIZE)
-    density = np.empty(_KDE_GRIDSIZE)
     rows = min(_KDE_GRIDSIZE, max(1, _KDE_BLOCK // v.size))
-    buf = np.empty((rows, v.size))
     with np.errstate(over="ignore"):                 # z^2 = inf for a tiny h; exp gives 0
-        for lo in range(0, _KDE_GRIDSIZE, rows):     # each row's sum is the same, block or whole
-            z = buf[:min(rows, _KDE_GRIDSIZE - lo)]
-            np.subtract.outer(grid[lo:lo + rows], v, out=z)
-            z /= h
-            np.square(z, out=z)
-            z *= -0.5                                # exact, so the same bits as -0.5 * z * z
-            np.exp(z, out=z).sum(axis=1, out=density[lo:lo + rows])
+        density = np.concatenate([np.exp(-0.5 * np.square((grid[lo:lo + rows, None] - v) / h))
+                                  .sum(axis=1) for lo in range(0, _KDE_GRIDSIZE, rows)])
     density /= v.size * h * math.sqrt(2.0 * math.pi)
     return KdeCurve(grid, density, h)
 
@@ -235,9 +219,6 @@ class AdjustedDiffRecord(NamedTuple):
 class AdjustedDiffs(NamedTuple):
     records: tuple[AdjustedDiffRecord, ...]
     fit_zero_d: FitResult
-
-    def group(self, w_sign: int) -> list[AdjustedDiffRecord]:
-        return [r for r in self.records if (r.w > 0) == (w_sign > 0)]
 
 
 def adjusted_differences(pairs: Pairs) -> AdjustedDiffs:

@@ -214,10 +214,9 @@ def test_criterion_07_validation_statistics(pipeline, reference_sets):
     for year in YEARS:
         ad = adjusted_differences(reference_sets[year])
         counts[year] = len(ad.records)
-        pooled[+1] += len(ad.group(+1))
-        pooled[-1] += len(ad.group(-1))
-    _check(failures, pooled[+1] == 159 and pooled[-1] == 159,
-           f"pooled groups {pooled[+1]}/{pooled[-1]} != 159/159")
+        pooled.update(r.w for r in ad.records)
+    _check(failures, pooled[0.5] == 159 and pooled[-0.5] == 159,
+           f"pooled groups {pooled[0.5]}/{pooled[-0.5]} != 159/159")
     _check(failures, counts == FIG3_COUNTS,
            f"per-event counts {counts} != {FIG3_COUNTS}")
     _finish(7, "validation statistics", failures)

@@ -87,6 +87,21 @@ def test_time_with_a_non_ascii_digit_is_parse_error(capsys, tmp_path, command, s
     assert "centisecond" in err
 
 
+@pytest.mark.parametrize("digits", [307, 4301])
+@pytest.mark.parametrize("command,source,time", [
+    ("fit", "swc1994.csv", ",35.96,"),
+    ("speculate", "oly1994.csv", ",38.58,"),
+], ids=["fit", "speculate"])
+def test_oversized_time_is_parse_error(capsys, tmp_path, command, source, time, digits):
+    bad = tmp_path / source
+    bad.write_text((DATA / source).read_text(encoding="utf-8").replace(
+        time, f",{'9' * digits}.00,", 1), encoding="utf-8")
+    code, out, err = run(capsys, command, str(bad))
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1 and err.startswith("lanefair: ")
+    assert "2**53 centiseconds" in err
+
+
 @pytest.mark.parametrize("command,source", [
     ("fit", "swc1994.csv"),
     ("speculate", "oly1994.csv"),
@@ -447,7 +462,7 @@ def test_light_calls_load_no_numpy(statement):
 
 @pytest.mark.parametrize("call", ["power", "meta-summary"])
 def test_calls_without_a_list_load_no_counterfactual(call):
-    assert _loaded(LIGHT_CALLS[call], ("lanefair.counterfactual",)) == "[]"
+    assert _loaded(LIGHT_CALLS[call], ("lanefair.counterfactual", "lanefair.dataset")) == "[]"
 
 
 @pytest.mark.parametrize("call", ["speculate", "power", "meta-summary"])

@@ -49,12 +49,21 @@ def test_inner_start_day1_gives_negative_w():
     ("X,o,9.7\u00b2,35.96,ok,i,9.75,35.76,ok", "centisecond"),
     ("X,o,\u0669.78,35.96,ok,i,9.75,35.76,ok", "centisecond"),
     ("X,o,9.82,\uff13\uff15.96,ok,i,9.75,35.76,ok", "centisecond"),
+    ("X,o,9.82,90071992547409.92,ok,i,9.75,35.76,ok", "2**53"),
+    pytest.param(f"X,o,9.82,{'1' * 307}.00,ok,i,9.75,35.76,ok", "2**53", id="307-digit-time"),
+    pytest.param(f"X,o,9.82,35.96,ok,i,{'9' * 4301}.75,35.76,ok", "2**53",
+                 id="4301-digit-time"),
 ])
 def test_malformed_rows_report_line_two(row, fragment):
     with pytest.raises(ParseError) as err:
         parse_event(f"#event,V,1990\n{row}\n")
     assert "line 2" in str(err.value)
     assert fragment in str(err.value)
+
+
+def test_times_below_2_to_the_53_centiseconds_parse():
+    ds = parse_event(f"#event,V,1990\nX,o,{'0' * 5000}9.82,90071992547409.91,ok,i,9.75,35.76,ok\n")
+    assert (ds.day1[1], ds.day1[2]) == ((982,), (2 ** 53 - 1,))
 
 
 def test_repeated_bad_time_fails_at_its_first_line():
@@ -123,7 +132,7 @@ def test_run_fields_cannot_be_assigned():
     for name in ("lane", "t100_cs", "t500_cs", "status"):
         with pytest.raises(AttributeError):
             setattr(run, name, getattr(run, name))
-    assert (run.t100, run.t500, run.complete) == (9.82, 35.96, True)
+    assert (run.t100_cs, run.t500_cs, run.status) == (982, 3596, RunStatus.OK)
 
 
 def test_duplicate_names_rejected():
@@ -165,7 +174,8 @@ def test_non_canonical_year_is_rejected_in_both_formats(year):
 def test_note_field_preserved(events):
     hamamichi = next(s for s in events[1994].skaters if s.name == "T.Hamamichi")
     assert hamamichi.note == "fall noted on first 100 m"
-    assert hamamichi.usable  # the noted fall does not void the pair
+    # the noted fall does not void the pair
+    assert "T.Hamamichi" in usable_pairs(events[1994])[0].names
 
 
 def test_usable_counts_per_event(usable):
@@ -229,7 +239,7 @@ def test_statuses_without_times(events):
     yen = next(s for s in events[1986].skaters if s.name == "T.-S.Yen")
     assert yen.day1.status is RunStatus.WITHDRAWN
     assert yen.day1.t100_cs is None and yen.day1.t500_cs is None
-    assert not yen.usable
+    assert "T.-S.Yen" not in usable_pairs(events[1986])[0].names
     boucher = next(s for s in events[1988].skaters if s.name == "G.Boucher")
     assert boucher.day1.status is RunStatus.DISQUALIFIED
 

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import DATA, make_pairs, pair_rows, serialize_event
-from lanefair import diagnostics
-from lanefair.dataset import (DEFAULT_THRESHOLD, Lane, RunStatus, load_event, parse_event,
-                              usable_pairs)
+from lanefair import DEFAULT_THRESHOLD, diagnostics
+from lanefair.dataset import Lane, RunStatus, load_event, parse_event, usable_pairs
 from lanefair.diagnostics import (adjusted_differences, clean_and_refit,
                                   gaussian_kde_curve, outlier_scan,
                                   validate_model)
@@ -56,7 +55,7 @@ def test_zero_residuals_give_zero_statistics():
     report = outlier_scan(make_pairs(pairs), fit)
     for rec in report.records:
         assert (rec.t1, rec.t2, rec.t3) == (0.0, 0.0, 0.0)
-        assert not rec.flagged
+        assert rec.flagged_by == ()
     assert report.flagged_names == []
 
 
@@ -273,7 +272,7 @@ def test_records_and_curves_built_on_read_match_the_eager_build(usable, source):
         assert [tuple(r) for r in rep.records] == eager
         _, ave, diff = zip(*eager)
         for curve, values in ((rep.kde_ave, ave), (rep.kde_diff, diff)):
-            direct = gaussian_kde_curve(list(values))
+            direct = gaussian_kde_curve(list(values), _silverman(values))
             assert curve.bandwidth == direct.bandwidth
             assert np.array_equal(curve.grid, direct.grid)
             assert np.array_equal(curve.density, direct.density)
@@ -409,18 +408,24 @@ def test_kde_integrates_to_one(pipeline):
 def test_kde_permutation_invariant():
     rng = np.random.default_rng(3)
     v = rng.standard_normal(40)
-    a = gaussian_kde_curve(v)
-    b = gaussian_kde_curve(v[::-1].copy())
+    r = v[::-1].copy()
+    a, b = gaussian_kde_curve(v, _silverman(v)), gaussian_kde_curve(r, _silverman(r))
     assert np.array_equal(a.grid, b.grid)
     assert np.allclose(a.density, b.density, atol=1e-12)
 
 
 def test_kde_fixed_bandwidth():
     v = np.linspace(-1, 1, 20)
-    curve = gaussian_kde_curve(v, bandwidth=0.5)
+    curve = gaussian_kde_curve(v, 0.5)
     assert curve.bandwidth == 0.5
     with pytest.raises(ValueError):
-        gaussian_kde_curve(v, bandwidth=0.0)
+        gaussian_kde_curve(v, 0.0)
+
+
+def _silverman(values):
+    """Silverman's rule, 1.06 s n^(-1/5), the width validate_model uses by default."""
+    v = np.asarray(values, dtype=float)
+    return 1.06 * float(np.std(v, ddof=1)) * v.size ** (-0.2)
 
 
 def _one_shot_kde(v, h):
@@ -437,9 +442,8 @@ def _one_shot_kde(v, h):
 def test_kde_equals_one_shot_evaluation(n, bandwidth):
     """The blocked evaluation gives the same bits as one n-by-grid array."""
     v = np.random.default_rng(n).standard_normal(n) * 0.3 + 1.0
-    curve = gaussian_kde_curve(v, bandwidth)
-    h = (1.06 * float(np.std(v, ddof=1)) * n ** (-0.2) if bandwidth == "silverman"
-         else bandwidth)
+    h = _silverman(v) if bandwidth == "silverman" else bandwidth
+    curve = gaussian_kde_curve(v, h)
     grid, reference = _one_shot_kde(v, h)
     assert curve.bandwidth == h
     assert np.array_equal(curve.grid, grid)
@@ -479,7 +483,8 @@ def test_report_curves_equal_the_star_values_curves(pipeline, bandwidth):
     rep = validate_model(pipeline[1994].pairs_clean, pipeline[1994].fit, bandwidth)
     for curve, values in ((rep.kde_diff, [r.diff_star for r in rep.records]),
                           (rep.kde_ave, [r.ave_star for r in rep.records])):
-        direct = gaussian_kde_curve(values, bandwidth)
+        direct = gaussian_kde_curve(values, _silverman(values) if bandwidth == "silverman"
+                                    else bandwidth)
         assert curve.bandwidth == direct.bandwidth
         assert np.array_equal(curve.grid, direct.grid)
         assert np.array_equal(curve.density, direct.density)
@@ -491,8 +496,8 @@ def test_adjusted_differences_counts(pipeline):
     for year, cleaned in pipeline.items():
         ad = adjusted_differences(cleaned.pairs_clean)
         per_event[year] = len(ad.records)
-        pooled[0.5] += len(ad.group(+1))
-        pooled[-0.5] += len(ad.group(-1))
+        for r in ad.records:
+            pooled[r.w] += 1
     assert per_event == CLEAN_COUNTS
     assert pooled == {0.5: 160, -0.5: 159}
 
@@ -522,8 +527,8 @@ def test_group_means_track_minus_two_d():
     d = 0.08
     pairs = simulate_event(rng, 400, d=d, sigma=0.2, kappa=0.3)
     ad = adjusted_differences(pairs)
-    plus = np.mean([r.D for r in ad.group(+1)])
-    minus = np.mean([r.D for r in ad.group(-1)])
+    plus = np.mean([r.D for r in ad.records if r.w > 0])
+    minus = np.mean([r.D for r in ad.records if r.w < 0])
     # each group mean has sd ~ sigma*sqrt(2)/sqrt(n/2); allow 4 sigma on the contrast
     tol = 4 * 0.2 * 2 / np.sqrt(200)
     assert abs((plus - minus) - (-2 * d)) <= tol

@@ -400,3 +400,19 @@ def test_row_permutation_leaves_the_fit_unchanged(seed, n, data):
     base, permuted = fit_ml(pairs), fit_ml(pairs.take(order))
     for attr in ("d", "se_d", "rho"):
         assert getattr(permuted, attr) == pytest.approx(getattr(base, attr), rel=1e-10), attr
+
+
+@PERMUTATION
+@given(st.integers(0, 2 ** 32 - 1), st.integers(6, 60))
+def test_day_swap_with_the_signs_flipped_leaves_the_fit_unchanged(seed, n):
+    """Swapping the days and negating w swaps a1 and a2 and keeps b, d, se(d), rho
+    and sigma.  Coefficients can sit near zero, so they move by at most 1e-10 of
+    their standard errors rather than of themselves."""
+    pairs = simulate_event(np.random.default_rng(seed), n)
+    swapped = Pairs(pairs.names, pairs.x2, pairs.y2, pairs.x1, pairs.y1, -pairs.w)
+    for constraint in ("free_d", "d_equals_zero"):
+        base, other = fit_ml(pairs, constraint), fit_ml(swapped, constraint)
+        for attr in ("se_d", "rho", "sigma_un"):
+            assert getattr(other, attr) == pytest.approx(getattr(base, attr), rel=1e-10), attr
+        moved = np.abs(other.beta[[1, 0, 2, 3]] - base.beta)
+        assert np.all(moved <= 1e-10 * base.se), (constraint, moved / base.se)
