@@ -14,6 +14,7 @@ import pytest
 
 from lanefair.cli import main
 
+import cli_sweep
 from conftest import DATA, REPO
 
 SCHEMAS = REPO / "src" / "lanefair" / "schemas"
@@ -411,6 +412,12 @@ def test_cli_matches_benchmark_goldens(capsys, monkeypatch, tmp_path):
                     == (BENCHMARKS / "goldens" / golden).read_bytes()), golden
 
 
+def test_every_cli_call_matches_its_manifest_digest():
+    """The sweep of tests/cli_sweep.py reproduces the committed digest of every call."""
+    manifest = json.loads(cli_sweep.MANIFEST.read_text(encoding="utf-8"))
+    assert cli_sweep.changed(cli_sweep.run_sweep(), manifest) == []
+
+
 def test_byte_order_mark_is_ignored(capsys, tmp_path):
     source = DATA / "swc1994.csv"
     bom = tmp_path / "swc1994.csv"
@@ -474,6 +481,13 @@ def test_light_text_calls_load_no_dataclasses_inspect_or_json(call):
 def test_fit_text_loads_no_dataclasses():
     statement = f"from lanefair.cli import main; assert main(['fit', {FIT_SOURCE!r}]) == 0"
     assert _loaded(statement, ("dataclasses",)) == "[]"
+
+
+def test_parse_error_loads_no_numpy(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("#event,V,1990\nA,q,9.82,35.96,ok,i,9.75,35.76,ok\n", encoding="utf-8")
+    statement = f"from lanefair.cli import main; assert main(['fit', {str(bad)!r}]) == 4"
+    assert _loaded(statement, ESTIMATION_MODULES) == "[]"
 
 
 def test_package_names_are_their_home_modules_objects():
