@@ -74,14 +74,15 @@ class EventDataset(namedtuple("EventDataset", "venue year names day1 day2 notes"
     __slots__ = ()
 
     def __new__(cls, venue: str, year: int, skaters: list[SkaterPair]):
-        return cls._from_rows(venue, year, [(s.name, *s.day1, *s.day2, s.note) for s in skaters])
+        cols = list(zip(*[(s.name, *s.day1, *s.day2, s.note) for s in skaters])) or [()] * 10
+        return cls._from_columns(venue, year, cols[0], cols[1:5], cols[5:9], cols[9])
 
     @classmethod
-    def _from_rows(cls, venue: str, year: int, rows: list) -> EventDataset:
-        names, *days, notes = zip(*rows) if rows else ((),) * 10
+    def _from_columns(cls, venue: str, year: int, names: tuple, day1, day2,
+                      notes: tuple) -> EventDataset:
         if dupes := sorted(n for n, k in Counter(names).items() if k > 1):
             raise ParseError(f"duplicate skater names: {dupes}")
-        return cls._make((venue, year, names, tuple(days[:4]), tuple(days[4:]), notes))
+        return cls._make((venue, year, names, tuple(day1), tuple(day2), notes))
 
     def __getnewargs__(self):                   # copy and pickle rebuild through __new__
         return self.venue, self.year, self.skaters
@@ -129,17 +130,19 @@ def _parse_header(lines: list[str]) -> tuple[str, int] | None:
     return head[1], year
 
 
-def _lane_status(lane_tok: str, status_tok: str, line: int) -> tuple[Lane, RunStatus]:
-    lane = _LANES.get(lane_tok.strip())
-    if lane is None:
-        raise ParseError(f"lane token {lane_tok!r} outside {{i, o}}", line)
-    status = _STATUSES.get(status_tok.strip())
-    if status is None:
-        raise ParseError(f"unknown status {status_tok!r}", line)
-    return lane, status
+def _lane(token: str, line: int | None = None) -> Lane:
+    if (lane := _LANES.get(token.strip())) is None:
+        raise ParseError(f"lane token {token!r} outside {{i, o}}", line)
+    return lane
 
 
-def _parse_time(token: str, line: int) -> int | None:
+def _status(token: str, line: int | None = None) -> RunStatus:
+    if (status := _STATUSES.get(token.strip())) is None:
+        raise ParseError(f"unknown status {token!r}", line)
+    return status
+
+
+def _parse_time(token: str, line: int | None = None) -> int | None:
     token = token.strip()
     if not token:
         return None
@@ -157,41 +160,66 @@ def format_time(cs: int | None) -> str:
     return "" if cs is None else f"{cs // 100}.{cs % 100:02d}"
 
 
+def _decode(columns: list[list[str]], check, ranks, errors: list) -> list[tuple]:
+    """Each column's values, checking each distinct token once; a bad token reads
+    as None, and each column's first bad row joins ``errors`` as (row, rank, message)."""
+    memo, bad = {}, {}
+    for token in set().union(*columns):
+        try:
+            memo[token] = check(token)
+        except ParseError as err:
+            memo[token], bad[token] = None, str(err)
+    for column, rank in zip(columns, ranks) if bad else ():     # one pass over a column
+        errors += [(row, rank, bad[t]) for row, t in enumerate(column) if t in bad][:1]
+    return [tuple(map(memo.__getitem__, column)) for column in columns]
+
+
 def parse_event(text: str) -> EventDataset:
-    """Parse a championship result file into an EventDataset; row order,
-    lanes, statuses and times are preserved exactly."""
+    """Parse a championship result file into an EventDataset; row order, lanes,
+    statuses and times are preserved exactly.  Each column is checked at once; the
+    error raised is the first in row order, a row's fields checked left to right."""
     lines = text.splitlines()
     header = _parse_header(lines)
     if header is None:
         raise ParseError("missing '#event,<venue>,<year>' header", 1)
-    rows, times, tokens = [], {}, {}    # tokens: each (lane, status) pair validated once
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        fields = raw.split(",")
-        if (n := len(fields)) not in (9, 10):
-            raise ParseError(f"expected 9 or 10 comma-separated fields, got {n}", lineno)
-        row = [fields[0].strip()]
-        if not row[0]:
-            raise ParseError("empty skater name", lineno)
-        for lane_tok, t100_tok, t500_tok, status_tok in (fields[1:5], fields[5:9]):
-            key = lane_tok, status_tok
-            lane, status = tokens.get(key) or tokens.setdefault(key, _lane_status(*key, lineno))
-            t100 = times[t100_tok] if t100_tok in times else times.setdefault(
-                t100_tok, _parse_time(t100_tok, lineno))
-            t500 = times[t500_tok] if t500_tok in times else times.setdefault(
-                t500_tok, _parse_time(t500_tok, lineno))
+    rows = list(filter(str.strip, lines[1:]))
+    commas, errors = [row.count(",") for row in rows], []   # errors: (row, rank, message)
+    if not {8, 9}.issuperset(commas):       # rows after the first bad count go unread
+        n = next(i for i, k in enumerate(commas) if k not in (8, 9))
+        errors.append((n, 0, f"expected 9 or 10 comma-separated fields, got {commas[n] + 1}"))
+        rows, commas = rows[:n], commas[:n]
+    width = 10 if 9 in commas else 9
+    if width == 10:
+        rows = [row if k == 9 else row + "," for row, k in zip(rows, commas)]
+    fields = ",".join(rows).split(",") if rows else []
+    cols = [fields[k::width] for k in range(width)]
+    names = tuple(map(str.strip, cols[0]))
+    if "" in names:
+        errors.append((names.index(""), 1, "empty skater name"))
+    lanes = _decode([cols[1], cols[5]], _lane, (2, 7), errors)
+    statuses = _decode([cols[4], cols[8]], _status, (3, 8), errors)
+    times = _decode([cols[2], cols[3], cols[6], cols[7]], _parse_time, (4, 5, 9, 10), errors)
+    days = [(lanes[d], *times[2 * d:2 * d + 2], statuses[d]) for d in (0, 1)]
+    for rank, (_, t100s, t500s, day_statuses) in zip((6, 11), days):
+        for row, (status, t100, t500) in enumerate(zip(day_statuses, t100s, t500s)):
             if status is _OK:
                 if t100 is None or t500 is None:
-                    raise ParseError("status ok requires both times", lineno)
-                if t500 <= t100:
-                    raise ParseError("500 m time must exceed 100 m time", lineno)
-            elif t500 is not None:
-                raise ParseError(f"status {status.value!r} cannot carry a 500 m time", lineno)
-            row += lane, t100, t500, status
-        row.append(fields[9].strip() if n == 10 else "")
-        rows.append(row)
-    return EventDataset._from_rows(*header, rows)
+                    message = "status ok requires both times"
+                elif t500 <= t100:
+                    message = "500 m time must exceed 100 m time"
+                else:
+                    continue
+            elif t500 is None or status is None:    # a bad status has a lower rank
+                continue
+            else:
+                message = f"status {status.value!r} cannot carry a 500 m time"
+            errors.append((row, rank, message))
+            break
+    if errors:
+        row, _, message = min(errors)
+        raise ParseError(message, [k for k, raw in enumerate(lines, 1) if raw.strip()][row + 1])
+    notes = tuple(map(str.strip, cols[9])) if width == 10 else ("",) * len(names)
+    return EventDataset._from_columns(*header, names, *days, notes)
 
 
 def parse_olympic(text: str) -> tuple[str, list[OlympicEntry]]:
@@ -213,7 +241,7 @@ def parse_olympic(text: str) -> tuple[str, list[OlympicEntry]]:
         if len(fields) != 4:
             raise ParseError("expected 'name,lane,time,status'", lineno)
         name, lane_tok, time_tok, status_tok = fields
-        lane, status = _lane_status(lane_tok, status_tok, lineno)
+        lane, status = _lane(lane_tok, lineno), _status(status_tok, lineno)
         time_cs = _parse_time(time_tok, lineno)
         if status is _OK and time_cs is None:
             raise ParseError("finisher without a time", lineno)

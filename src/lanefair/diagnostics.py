@@ -6,8 +6,8 @@ outside normal bounds in magnitude; the default threshold is 2.75.  The
 magnitude rule is deliberate: a run can be anomalous in either direction
 (a skater whose finishing times are far better than his passing times
 predict is as suspect a data point as the reverse), and the historical
-removal rosters for the bundled championships require it.  The outlier and
-validation reports keep per-skater values as read-only columns and build records when read.
+removal rosters for the bundled championships require it.  Each report keeps per-skater
+values as read-only columns and builds its records when read.
 """
 
 from __future__ import annotations
@@ -217,8 +217,16 @@ class AdjustedDiffRecord(NamedTuple):
 
 
 class AdjustedDiffs(NamedTuple):
-    records: tuple[AdjustedDiffRecord, ...]
+    names: tuple[str, ...]
+    w: np.ndarray
+    D: np.ndarray
+    D_star: np.ndarray
     fit_zero_d: FitResult
+
+    @property
+    def records(self) -> tuple[AdjustedDiffRecord, ...]:
+        return tuple(map(AdjustedDiffRecord, self.names, self.w.tolist(), self.D.tolist(),
+                         self.D_star.tolist()))
 
 
 def adjusted_differences(pairs: Pairs) -> AdjustedDiffs:
@@ -232,6 +240,5 @@ def adjusted_differences(pairs: Pairs) -> AdjustedDiffs:
     r1, r2 = day_residuals(pairs, fit0.beta)
     D = r2 - r1
     star = D / (math.sqrt(2.0) * fit0.sigma_un)
-    records = tuple(map(AdjustedDiffRecord, pairs.names, pairs.w.tolist(), D.tolist(),
-                        star.tolist()))
-    return AdjustedDiffs(records, fit0)
+    _read_only(D, star)
+    return AdjustedDiffs(pairs.names, pairs.w, D, star, fit0)

@@ -71,7 +71,7 @@ class Pairs:
 
     def take(self, index) -> Pairs:
         """The pairs at ``index``, an integer array or a boolean mask, in its order."""
-        return Pairs([self.names[i] for i in np.arange(len(self))[index].tolist()],
+        return Pairs(map(self.names.__getitem__, np.arange(len(self))[index].tolist()),
                      *(getattr(self, field)[index] for field in self.__slots__[1:]))
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from lanefair.counterfactual import speculate
-from lanefair.dataset import Lane, OlympicEntry, format_time, load_event, usable_pairs
+from lanefair.dataset import (EventDataset, Lane, OlympicEntry, ParseError, Run, RunStatus,
+                              SkaterPair, format_time, load_event, usable_pairs)
 from lanefair.diagnostics import clean_and_refit
 from lanefair.model import Pairs
 
@@ -111,3 +112,77 @@ def design_rows(pairs):
     ones, zeros = np.ones(len(pairs)), np.zeros(len(pairs))
     return (np.column_stack([ones, zeros, x1, w]), np.column_stack([zeros, ones, x2, -w]),
             y1, y2)
+
+
+_REFERENCE_LANES = {lane.value: lane for lane in Lane}
+_REFERENCE_STATUSES = {status.value: status for status in RunStatus}
+
+
+def _reference_header(line):
+    head = line.split(",")
+    if len(head) != 3:
+        raise ParseError("header must be '#event,<venue>,<year>'", 1)
+    try:
+        year = int(head[2])
+    except ValueError:
+        year = None
+    if year is None or str(year) != head[2]:
+        raise ParseError(f"year {head[2]!r} is not an integer", 1)
+    return head[1], year
+
+
+def _reference_lane_status(lane_tok, status_tok, line):
+    lane = _REFERENCE_LANES.get(lane_tok.strip())
+    if lane is None:
+        raise ParseError(f"lane token {lane_tok!r} outside {{i, o}}", line)
+    status = _REFERENCE_STATUSES.get(status_tok.strip())
+    if status is None:
+        raise ParseError(f"unknown status {status_tok!r}", line)
+    return lane, status
+
+
+def _reference_time(token, line):
+    token = token.strip()
+    if not token:
+        return None
+    whole, dot, frac = token.partition(".")
+    if not (dot and len(frac) == 2 and token.isascii() and whole.isdigit() and frac.isdigit()):
+        raise ParseError(f"time {token!r} is not a centisecond multiple", line)
+    whole = whole.lstrip("0")
+    if len(whole) > 14 or (cs := int(whole or 0) * 100 + int(frac)) >= 2 ** 53:
+        raise ParseError("time of 2**53 centiseconds or more", line)
+    return cs
+
+
+def reference_parse_event(text):
+    """The row-by-row event parser that the column parser replaced: each row is
+    checked in file order, field by field, and the first failed check raises."""
+    lines = text.splitlines()
+    if not (lines and lines[0].startswith("#event,")):
+        raise ParseError("missing '#event,<venue>,<year>' header", 1)
+    venue, year = _reference_header(lines[0])
+    skaters = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        fields = raw.split(",")
+        if (n := len(fields)) not in (9, 10):
+            raise ParseError(f"expected 9 or 10 comma-separated fields, got {n}", lineno)
+        name = fields[0].strip()
+        if not name:
+            raise ParseError("empty skater name", lineno)
+        runs = []
+        for lane_tok, t100_tok, t500_tok, status_tok in (fields[1:5], fields[5:9]):
+            lane, status = _reference_lane_status(lane_tok, status_tok, lineno)
+            t100 = _reference_time(t100_tok, lineno)
+            t500 = _reference_time(t500_tok, lineno)
+            if status is RunStatus.OK:
+                if t100 is None or t500 is None:
+                    raise ParseError("status ok requires both times", lineno)
+                if t500 <= t100:
+                    raise ParseError("500 m time must exceed 100 m time", lineno)
+            elif t500 is not None:
+                raise ParseError(f"status {status.value!r} cannot carry a 500 m time", lineno)
+            runs.append(Run(lane, t100, t500, status))
+        skaters.append(SkaterPair(name, *runs, fields[9].strip() if n == 10 else ""))
+    return EventDataset(venue, year, skaters)

@@ -13,7 +13,7 @@ from lanefair.dataset import (EventDataset, Lane, ParseError, Run, RunStatus,
                               SkaterPair, load_event, parse_event, parse_olympic,
                               usable_pairs)
 
-from conftest import DATA, serialize_event
+from conftest import DATA, reference_parse_event, serialize_event
 
 
 def test_round_trip_all_fixtures():
@@ -291,6 +291,61 @@ def test_time_with_a_non_ascii_digit_is_rejected(ds, data):
     lines[row] = ",".join(fields)
     with pytest.raises(ParseError, match=f"line {row + 1}: time"):
         parse_event("\n".join(lines) + "\n")
+
+
+# Field values a mutation writes: valid and invalid lanes, statuses and times,
+# padded and non-canonical forms, and text that fails every check.
+MUTANT_FIELDS = st.sampled_from([
+    "", " ", "i", "o", " o", "i ", "x", "ok", "fell", "dq", "dnf", "dns", "wd", " ok",
+    "great", "9.82", "35.96", "09.82", " 35.96", "9.821", "9.8", "9.7\u00b2", "\u0669.78",
+    "35.9x", "-1.00", "90071992547409.91", "90071992547409.92", f"{'9' * 320}.00", "S1",
+]) | FIELD
+
+
+def _mutate(data, lines):
+    """Apply one mutation to the lines of a file, in place."""
+    kind = data.draw(st.sampled_from(["replace", "blank", "add", "drop", "duplicate"]))
+    row = data.draw(st.integers(0, len(lines) - 1))
+    fields = lines[row].split(",")
+    if kind == "blank":
+        lines.insert(data.draw(st.integers(1, len(lines))), data.draw(st.sampled_from(["", "  "])))
+    elif kind == "duplicate":
+        lines.insert(data.draw(st.integers(1, len(lines))), lines[row])
+    elif kind == "drop" and len(fields) > 1:
+        del fields[data.draw(st.integers(0, len(fields) - 1))]
+    elif kind == "add":
+        fields.insert(data.draw(st.integers(0, len(fields))), data.draw(MUTANT_FIELDS))
+    else:
+        fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(MUTANT_FIELDS)
+    if kind in ("replace", "add", "drop"):
+        lines[row] = ",".join(fields)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as err:
+        return str(err), err.line
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(DATA.glob("swc*.csv"))) | canonical_events(), st.data())
+def test_mutated_files_parse_as_the_row_by_row_reference(source, data):
+    text = (serialize_event(source) if isinstance(source, EventDataset)
+            else source.read_text(encoding="utf-8"))
+    lines = text.splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, lines)
+    text = "\n".join(lines) + "\n"
+    assert _parse_outcome(parse_event, text) == _parse_outcome(reference_parse_event, text)
+
+
+def test_distinct_bad_times_fail_at_the_first_row():
+    rows = [f"S{i},o,{i}.x,35.96,ok,i,9.75,35.76,ok" for i in range(20_000)]
+    with pytest.raises(ParseError) as err:
+        parse_event("#event,V,1990\n" + "\n".join(rows) + "\n")
+    assert str(err.value) == "line 2: time '0.x' is not a centisecond multiple"
+    assert err.value.line == 2
 
 
 def _eager_reference_parse(text):
