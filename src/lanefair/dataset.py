@@ -78,8 +78,7 @@ class EventDataset(namedtuple("EventDataset", "venue year names day1 day2 notes"
         return cls._from_columns(venue, year, cols[0], cols[1:5], cols[5:9], cols[9])
 
     @classmethod
-    def _from_columns(cls, venue: str, year: int, names: tuple, day1, day2,
-                      notes: tuple) -> EventDataset:
+    def _from_columns(cls, venue: str, year: int, names, day1, day2, notes) -> EventDataset:
         if dupes := sorted(n for n, k in Counter(names).items() if k > 1):
             raise ParseError(f"duplicate skater names: {dupes}")
         return cls._make((venue, year, names, tuple(day1), tuple(day2), notes))
@@ -176,14 +175,15 @@ def _decode(columns: list[list[str]], check, ranks, errors: list) -> list[tuple]
 
 def parse_event(text: str) -> EventDataset:
     """Parse a championship result file into an EventDataset; row order, lanes,
-    statuses and times are preserved exactly.  Each column is checked at once; the
-    error raised is the first in row order, a row's fields checked left to right."""
+    statuses and times are preserved exactly.  Each column is checked at once, and
+    the error raised is the first bad row's first failed check, in the order field
+    count, name, then per day lane, status, 100 m time, 500 m time and time rules."""
     lines = text.splitlines()
     header = _parse_header(lines)
     if header is None:
         raise ParseError("missing '#event,<venue>,<year>' header", 1)
     rows = list(filter(str.strip, lines[1:]))
-    commas, errors = [row.count(",") for row in rows], []   # errors: (row, rank, message)
+    commas, errors = [row.count(",") for row in rows], []   # (row, rank in that order, message)
     if not {8, 9}.issuperset(commas):       # rows after the first bad count go unread
         n = next(i for i, k in enumerate(commas) if k not in (8, 9))
         errors.append((n, 0, f"expected 9 or 10 comma-separated fields, got {commas[n] + 1}"))
