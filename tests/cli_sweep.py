@@ -73,6 +73,19 @@ def _edited(path: str, old: str, new: str) -> str:
     return text.replace(old, new, 1)
 
 
+def _one_lane_half(best: bool) -> str:
+    """A 12-skater event whose best half (or rest half) all started inner on day 1,
+    so that half cannot identify d while the whole event and the other half can."""
+    rows = []
+    for i in range(12):
+        lane1 = "i" if (i < 6) == best else "io"[i % 2]
+        lane2 = "o" if lane1 == "i" else "i"
+        x1, x2 = 10.00 + 0.04 * i + 0.02 * (i * 5 % 3), 10.02 + 0.04 * i + 0.02 * (i * 7 % 3)
+        y1, y2 = 36.40 + 0.15 * i + 0.04 * (i * 7 % 4), 36.46 + 0.15 * i + 0.04 * (i * 5 % 4)
+        rows.append(f"S{i:02d},{lane1},{x1:.2f},{y1:.2f},ok,{lane2},{x2:.2f},{y2:.2f},ok\n")
+    return HEADER + "".join(rows)
+
+
 def inputs() -> dict[str, str]:
     """The malformed and edge-case input files, by relative path."""
     files = {f"bad/line2-{k:02d}.csv": f"{HEADER}{row}\n" for k, row in enumerate(BAD_ROWS)}
@@ -96,6 +109,8 @@ def inputs() -> dict[str, str]:
         "bad/summary-non-numeric.csv": "# c\n\nA,0.1,0.05\nB,x,0.05\n",
         "bad/summary-two-headers.csv": "label,d,se\nA,0.1,0.05\nlabel,d,se\n",
         "edge/one-lane.csv": HEADER + one_lane,
+        "edge/best-one-lane.csv": _one_lane_half(best=True),
+        "edge/rest-one-lane.csv": _one_lane_half(best=False),
         "edge/small.csv": "".join(swc1994.splitlines(True)[:10]),
         "edge/bom.csv": "\ufeff" + swc1994,
         "edge/oly-header-only.csv": "#event,Calgary,1988\n",
@@ -131,6 +146,10 @@ def calls() -> dict[str, tuple[str, ...]]:
     add("meta/all-strict-split-half", "meta", *EVENTS, "--lane-policy", "strict",
         "--split-half")
     add("meta/all-no-screen", "meta", *EVENTS, "--threshold", "1e9")
+    add("meta/best-one-lane-split-half", "meta", "data/swc1994.csv", "edge/best-one-lane.csv",
+        "--split-half")
+    add("meta/rest-one-lane-split-half", "meta", "edge/rest-one-lane.csv", "data/swc1994.csv",
+        "--split-half")
     add("meta/swc1989", "meta", "data/swc1989.csv")
     add("meta/summary-men", "meta", "--summary", "data/summaries_men.csv")
     add("meta/summary-women", "meta", "--summary", "data/summaries_women.csv")
