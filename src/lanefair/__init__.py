@@ -15,7 +15,8 @@ _HOMES = {
                    " clean_and_refit gaussian_kde_curve outlier_scan validate_model",
     "meta": "EventSummary MetaResult PowerSpec SplitContrast combine cross_group_correlation"
             " heterogeneity power_plan predict_range read_summaries split_half",
-    "model": "FitError FitResult MomentMatrices Pairs build_moments fit_ml gls_beta profile_loglik",
+    "model": "FitError FitResult MomentMatrices Pairs build_moments fit_many fit_ml gls_beta"
+             " profile_loglik",
     "simulate": "mc_calibration simulate_event",
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names.split()}

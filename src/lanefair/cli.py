@@ -133,7 +133,7 @@ def cmd_validate(args) -> int:
     from .model import FitError
 
     try:
-        bandwidth = "silverman" if args.bandwidth == "silverman" else float(args.bandwidth)
+        bandwidth = None if args.bandwidth == "silverman" else float(args.bandwidth)
     except ValueError:
         raise _CliFailure(EXIT_COMPUTE, f"--bandwidth {args.bandwidth!r} is neither "
                                         "'silverman' nor a number") from None
@@ -141,7 +141,11 @@ def cmd_validate(args) -> int:
     cleaned = _clean_all(events, args.lane_policy, args.threshold)
     ds, _, c = cleaned[0]
     with _exit_on(ValueError, EXIT_COMPUTE, f"{ds.label}: "):
-        rep = validate_model(c.pairs_clean, c.fit, bandwidth)
+        rep = validate_model(c.pairs_clean, c.fit)
+        if bandwidth is not None:           # a fixed width replaces both of Silverman's
+            if not 0.0 < bandwidth < math.inf:
+                raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
+            rep = rep._replace(bandwidth_diff=bandwidth, bandwidth_ave=bandwidth)
     if args.kde_prefix:
         _emit(_render("kde", "csv", rep.kde_diff), f"{args.kde_prefix}_diff.csv")
         _emit(_render("kde", "csv", rep.kde_ave), f"{args.kde_prefix}_ave.csv")

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import enum
 from collections import Counter, namedtuple
+from itertools import compress, repeat
+from operator import and_, is_, is_not
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:       # importing model loads numpy; usable_pairs does so when called
@@ -271,21 +273,20 @@ def usable_pairs(ds: EventDataset, lane_policy: str = "warn_day1",
 
     if lane_policy not in ("strict", "warn_day1"):
         raise ValueError(f"unknown lane policy {lane_policy!r}")
-    names, times, w, warnings = [], [], [], []
-    for name, lane1, x1, y1, status1, lane2, x2, y2, status2 in zip(
-            ds.names, *ds.day1, *ds.day2):
-        if not (status1 is status2 is _OK and None not in (x1, y1, x2, y2)):
-            continue
-        if lane1 is lane2:
-            warnings.append(
-                f"{name}: same starting lane on both days"
-                + (" (kept, w from day 1)" if lane_policy == "warn_day1" else " (dropped)"))
-            if lane_policy == "strict":
-                continue
-        names.append(name)
-        times += x1, y1, x2, y2
-        w.append(0.5 if lane1 is _OUTER else -0.5)
-    return Pairs(names, *np.array(times, dtype=float).reshape(-1, 4).T / 100.0, w), warnings
+    (lanes1, *times1, status1), (lanes2, *times2, status2) = ds.day1, ds.day2
+    # C-level column passes; None times too, as EventDataset(venue, year, skaters) skips checks.
+    usable = list(map(all, zip(map(is_, status1, repeat(_OK)), map(is_, status2, repeat(_OK)),
+                               *(map(is_not, t, repeat(None)) for t in (*times1, *times2)))))
+    same = list(map(and_, usable, map(is_, lanes1, lanes2)))
+    suffix = " (kept, w from day 1)" if lane_policy == "warn_day1" else " (dropped)"
+    warnings = [f"{name}: same starting lane on both days{suffix}"
+                for name in compress(ds.names, same)]
+    if lane_policy == "strict":
+        usable = [u and not s for u, s in zip(usable, same)]
+    n = sum(usable)
+    return Pairs(compress(ds.names, usable),
+                 *(np.fromiter(compress(t, usable), float, n) / 100.0 for t in (*times1, *times2)),
+                 [0.5 if lane is _OUTER else -0.5 for lane in compress(lanes1, usable)]), warnings
 
 
 def load_event(path) -> EventDataset:

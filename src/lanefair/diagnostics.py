@@ -111,10 +111,9 @@ class KdeCurve(NamedTuple):
     bandwidth: float
 
 
-def _kde_bandwidth(v: np.ndarray, bandwidth: float | str) -> float:
-    """The kernel width for values v: 1.06 s n^(-1/5) (Silverman's rule) for "silverman"."""
-    h = (1.06 * float(np.std(v, ddof=1)) * v.size ** (-0.2) if bandwidth == "silverman"
-         else float(bandwidth))
+def _kde_bandwidth(v: np.ndarray) -> float:
+    """Silverman's rule of thumb for the kernel width of values v: 1.06 s n^(-1/5)."""
+    h = 1.06 * float(np.std(v, ddof=1)) * v.size ** (-0.2)
     if not 0.0 < h < math.inf:
         raise ValueError(f"bandwidth must be positive and finite, got {h}")
     return h
@@ -154,7 +153,7 @@ class ValidationReport(NamedTuple):
     band_skew: float            # 90% normal band: 1.645 sqrt(6/n)
     band_kurt: float            # 1.645 sqrt(24/n)
     band_corr: float            # 1.645 / sqrt(n)
-    bandwidth_diff: float       # kernel widths; each kde_* read evaluates its curve
+    bandwidth_diff: float       # Silverman's kernel widths; each kde_* read evaluates its curve
     bandwidth_ave: float
     n: int
 
@@ -180,8 +179,7 @@ def _skew_kurt(v: np.ndarray) -> tuple[float, float]:
     return float((c2 * c).mean()) / m2 ** 1.5, float((c2 * c2).mean()) / m2 ** 2 - 3.0
 
 
-def validate_model(pairs: Pairs, fit: FitResult,
-                   kde_bandwidth: float | str = "silverman") -> ValidationReport:
+def validate_model(pairs: Pairs, fit: FitResult) -> ValidationReport:
     """Check the bivariate normal structure on the cleaned pairs.
 
     The pair (Y1, Y2) is equivalent to an independent (average, difference)
@@ -204,8 +202,7 @@ def validate_model(pairs: Pairs, fit: FitResult,
         band_skew=1.645 * math.sqrt(6.0 / n),
         band_kurt=1.645 * math.sqrt(24.0 / n),
         band_corr=1.645 / math.sqrt(n),
-        bandwidth_diff=_kde_bandwidth(diff_v, kde_bandwidth),
-        bandwidth_ave=_kde_bandwidth(ave_v, kde_bandwidth),
+        bandwidth_diff=_kde_bandwidth(diff_v), bandwidth_ave=_kde_bandwidth(ave_v),
         n=n)
 
 

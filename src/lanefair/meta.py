@@ -182,28 +182,30 @@ def split_half(events: Iterable[tuple[str, Pairs]]) -> SplitContrast:
 
     Each cleaned event is ranked by the skater's average finishing time
     (day-1 time, then entry order, break ties); the best floor(n/2)
-    skaters form one group and the remainder the other.  Per-event
-    contrasts d_best - d_rest are combined by inverse variance.
+    skaters form one group and the remainder the other; one ``fit_many`` call fits
+    every half.  Per-event contrasts d_best - d_rest are combined by inverse variance.
     """
     import numpy as np
 
-    from .model import FitError, fit_ml
+    from .model import FitError, fit_many
 
-    entries: list[SplitEntry] = []
-    warnings: list[str] = []
+    split = []                      # (label, (best, rest)), or (label, ()) when too small
     for label, pairs in events:
         # lexsort is stable, so a tie in both keys keeps entry order.
         order = np.lexsort((pairs.y1, 0.5 * (pairs.y1 + pairs.y2)))
         n_best = len(pairs) // 2
-        best, rest = pairs.take(order[:n_best]), pairs.take(order[n_best:])
-        if min(len(best), len(rest)) < _MIN_HALF:
+        halves = pairs.take(order[:n_best]), pairs.take(order[n_best:])
+        split.append((label, halves if min(map(len, halves)) >= _MIN_HALF else ()))
+    fits = iter(fit_many([half for _, halves in split for half in halves]))
+    entries: list[SplitEntry] = []
+    warnings: list[str] = []
+    for label, halves in split:
+        if not halves:
             warnings.append(f"{label}: field too small to halve, skipped")
             continue
-        try:
-            fb = fit_ml(best)
-            fr = fit_ml(rest)
-        except FitError as exc:
-            warnings.append(f"{label}: {exc}; skipped")
+        fb, fr = next(fits), next(fits)
+        if failed := [fit for fit in (fb, fr) if isinstance(fit, FitError)]:
+            warnings.append(f"{label}: {failed[0]}; skipped")
             continue
         entries.append(SplitEntry(label, fb.d, fb.se_d, fr.d, fr.se_d))
     if not entries:

@@ -20,7 +20,8 @@ maximum lies at a real root of the cubic (U*V)'.  For fixed rho, beta =
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from operator import itemgetter
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -71,8 +72,9 @@ class Pairs:
 
     def take(self, index) -> Pairs:
         """The pairs at ``index``, an integer array or a boolean mask, in its order."""
-        return Pairs(map(self.names.__getitem__, np.arange(len(self))[index].tolist()),
-                     *(getattr(self, field)[index] for field in self.__slots__[1:]))
+        rows = np.arange(len(self))[index].tolist()     # itemgetter needs two rows for a tuple
+        names = itemgetter(*rows)(self.names) if len(rows) > 1 else [self.names[i] for i in rows]
+        return Pairs(names, *(getattr(self, field)[index] for field in self.__slots__[1:]))
 
 
 class MomentMatrices(NamedTuple):
@@ -90,7 +92,7 @@ class MomentMatrices(NamedTuple):
 
     @property
     def p(self) -> int:
-        return self.A.shape[0] - 1
+        return self.A.shape[-1] - 1
 
 
 def build_moments(pairs: Pairs, with_lane: bool = True) -> MomentMatrices:
@@ -112,25 +114,29 @@ def build_moments(pairs: Pairs, with_lane: bool = True) -> MomentMatrices:
     return MomentMatrices(A=ave.T @ ave / n, D=diff.T @ diff / n, n=n)
 
 
-def _weighted(m: MomentMatrices, rho: float) -> np.ndarray:
+# From here on the functions broadcast over the leading axes of stacked moments and rho.
+def _weighted(m: MomentMatrices, rho: float | np.ndarray) -> np.ndarray:
     """The augmented GLS matrix 2 (1 - rho) A + (1 + rho)/2 D."""
+    rho = np.asarray(rho)[..., None, None]
     return 2.0 * (1.0 - rho) * m.A + 0.5 * (1.0 + rho) * m.D
 
 
-def gls_beta(m: MomentMatrices, rho: float) -> np.ndarray:
+def gls_beta(m: MomentMatrices, rho: float | np.ndarray) -> np.ndarray:
     """Closed-form minimizer of Q(beta) at fixed rho."""
     g = _weighted(m, rho)
     p = m.p
     try:
-        return np.linalg.solve(g[:p, :p], g[:p, p])
+        return np.linalg.solve(g[..., :p, :p], g[..., :p, p:])[..., 0]
     except np.linalg.LinAlgError as exc:
-        raise DegenerateDesignError(f"singular design at rho={rho:g}: {exc}") from None
+        rhos = ", ".join(f"{r:g}" for r in np.ravel(rho))
+        raise DegenerateDesignError(f"singular design at rho={rhos}: {exc}") from None
 
 
-def _residual_sums(m: MomentMatrices, beta: np.ndarray) -> tuple[float, float]:
+def _residual_sums(m: MomentMatrices, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Residual sums of squares of the average and the difference rows."""
-    b = np.append(beta, -1.0)
-    return max(m.n * float(b @ m.A @ b), 0.0), max(m.n * float(b @ m.D @ b), 0.0)
+    b = np.concatenate([beta, np.full_like(beta[..., :1], -1.0)], axis=-1)
+    return tuple(np.maximum(m.n * (b[..., None, :] @ g @ b[..., None])[..., 0, 0], 0.0)
+                 for g in (m.A, m.D))
 
 
 def day_residuals(pairs: Pairs, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,30 +147,39 @@ def day_residuals(pairs: Pairs, beta: np.ndarray) -> tuple[np.ndarray, np.ndarra
             pairs.y2 - (a2 + b * pairs.x2 - d * pairs.w))
 
 
-def profile_loglik(m: MomentMatrices, rho: float) -> float:
+def profile_loglik(m: MomentMatrices, rho: float | np.ndarray) -> float | np.ndarray:
     """Log-likelihood profiled over beta and sigma at fixed rho.
 
     Additive constants not involving the parameters are dropped.
     """
-    if not 0.0 <= rho <= RHO_MAX:
-        raise ValueError(f"rho={rho:g} outside [0, {RHO_MAX}]")
+    if not np.all((0.0 <= rho) & (rho <= RHO_MAX)):
+        raise ValueError(f"rho={rho} outside [0, {RHO_MAX}]")
     ave, diff = _residual_sums(m, gls_beta(m, rho))
     q = 2.0 * (1.0 - rho) * ave + 0.5 * (1.0 + rho) * diff
-    n = m.n
-    if q <= 0.0:
-        return math.inf
-    return n * (0.5 * math.log1p(-rho * rho) - math.log(q / (2.0 * n)) - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):        # q <= 0 reads as +inf
+        value = m.n * (0.5 * np.log1p(-rho * rho) - np.log(q / (2.0 * m.n)) - 1.0)
+    return np.where(q <= 0.0, math.inf, value)[()]
 
 
 def _slope_profile(g: np.ndarray, nuisance: list[int]) -> np.ndarray:
     """Coefficients, highest power first, of min b'gb over the nuisance
     coordinates as a quadratic in the slope: the Schur complement of the
     nuisance block in the slope and response rows of g."""
-    kept = [_SLOPE, g.shape[0] - 1]
-    cross = g[np.ix_(nuisance, kept)]
-    inner = np.linalg.solve(g[np.ix_(nuisance, nuisance)], cross)
-    s = g[np.ix_(kept, kept)] - cross.T @ inner
-    return np.array([s[0, 0], -2.0 * s[0, 1], s[1, 1]])
+    k, order = len(nuisance), np.array([*nuisance, _SLOPE, g.shape[-1] - 1])
+    h = g[..., order[:, None], order]       # the nuisance block first, then slope and response
+    inner = np.linalg.solve(h[..., :k, :k], h[..., :k, k:])
+    s = h[..., k:, k:] - np.swapaxes(h[..., :k, k:], -1, -2) @ inner
+    return s.reshape(*s.shape[:-2], 4)[..., [0, 1, 3]] * [1.0, -2.0, 1.0]
+
+
+def _cubic_roots(cubics: list[np.ndarray]) -> list[np.ndarray]:
+    """np.roots of each polynomial, through one stack of companion matrices when it can."""
+    full = [len(c) == 4 and c[0] != 0.0 != c[3] for c in cubics]
+    c = np.array([c if ok else [1.0, 0.0, 0.0, 0.0] for c, ok in zip(cubics, full)])
+    companion = np.zeros((len(c), 3, 3))
+    companion[:, 0], companion[:, 1, 0], companion[:, 2, 1] = -c[:, 1:] / c[:, :1], 1.0, 1.0
+    return [roots if ok else np.roots(c)            # np.roots trims zero end coefficients
+            for roots, c, ok in zip(np.linalg.eigvals(companion), cubics, full)]
 
 
 class FitResult(NamedTuple):
@@ -218,56 +233,76 @@ def fit_ml(pairs: Pairs, constraint: str = "free_d") -> FitResult:
     rho cannot be negative since kappa^2 = sigma^2 rho/(1-rho) must be
     nonnegative; a maximum at rho = 0 reports kappa = 0.
     """
+    (fit,) = fit_many([pairs], constraint)
+    if isinstance(fit, FitError):
+        raise fit
+    return fit
+
+
+def fit_many(pairs_seq: Iterable[Pairs], constraint: str = "free_d") -> list[FitResult | FitError]:
+    """``fit_ml`` of each event, with the events' moments stacked: a FitResult, or
+    the FitError that ``fit_ml`` raises, per event in input order."""
     if constraint not in ("free_d", "d_equals_zero"):
         raise ValueError(f"unknown constraint {constraint!r}")
-    n = len(pairs)
-    if n < 5:
-        raise InsufficientDataError(f"need at least 5 usable pairs, got {n}")
-    with_lane = constraint == "free_d"
-    if with_lane and not 0 < np.count_nonzero(pairs.w > 0) < n:
-        raise DegenerateDesignError("all skaters started in the same lane; d is not identifiable")
+    events = list(pairs_seq)
+    try:
+        return _fit_stacked(events, constraint == "free_d") if events else []
+    except FitError as exc:     # one event fails a stacked call as a whole: fit each alone
+        return [exc] if len(events) == 1 else [fit_many([p], constraint)[0] for p in events]
 
+
+def _fit_stacked(events: list[Pairs], with_lane: bool) -> list[FitResult | FitError]:
+    """The events' fits, an unbounded profile as a FitError; any other FitError raises."""
+    for pairs in events:
+        if (n := len(pairs)) < 5:
+            raise InsufficientDataError(f"need at least 5 usable pairs, got {n}")
+        if with_lane and not 0 < np.count_nonzero(pairs.w > 0) < n:
+            raise DegenerateDesignError(
+                "all skaters started in the same lane; d is not identifiable")
     try:
         with np.errstate(over="raise", invalid="raise"):
-            m = build_moments(pairs, with_lane)
-            u = _slope_profile(m.A, _AVE_NUISANCE)
-            v = _slope_profile(m.D, _DIFF_NUISANCE[m.p])
-            roots = np.roots(np.polyder(np.polymul(u, v)))
+            m = MomentMatrices(*map(np.array, zip(*(build_moments(p, with_lane) for p in events))))
+            u, v = _slope_profile(m.A, _AVE_NUISANCE), _slope_profile(m.D, _DIFF_NUISANCE[m.p])
+            roots = _cubic_roots([np.polyder(np.polymul(a, b)) for a, b in zip(u, v)])
     except np.linalg.LinAlgError as exc:
         raise DegenerateDesignError(f"singular design: {exc}") from None
     except FloatingPointError as exc:
         raise FitError(f"the moments leave the float range ({exc})") from None
-    candidates = [0.0, RHO_MAX]
-    for slope in roots[roots.imag == 0.0].real:
-        ave, diff = float(np.polyval(u, slope)), float(np.polyval(v, slope))
-        if 4.0 * ave + diff > 0.0:
-            rho = (4.0 * ave - diff) / (4.0 * ave + diff)
+    # Candidates [0, RHO_MAX, roots...]: rho = 0 wins ties, and pads rows (a repeat never wins).
+    rhos = np.tile([0.0, RHO_MAX, 0.0, 0.0, 0.0], (len(events), 1))
+    for (u0, u1, u2), (v0, v1, v2), slopes, row in zip(u.tolist(), v.tolist(), roots, rhos):
+        k = 2
+        for slope in (r.real for r in slopes.tolist() if r.imag == 0.0):
+            ave, diff = (u0 * slope + u1) * slope + u2, (v0 * slope + v1) * slope + v2
+            rho = (4.0 * ave - diff) / (4.0 * ave + diff) if 4.0 * ave + diff > 0.0 else 0.0
             if 0.0 < rho < RHO_MAX:
-                candidates.append(rho)
-    values = [profile_loglik(m, r) for r in candidates]
-    k = int(np.argmax(values))
-    if not math.isfinite(values[k]):
-        raise FitError("profile likelihood is unbounded (degenerate responses)")
-    rho, loglik = candidates[k], values[k]
-
-    beta = gls_beta(m, rho)
-    ave, diff = _residual_sums(m, beta)
-    q = 2.0 * (1.0 - rho) * ave + 0.5 * (1.0 + rho) * diff
-    p = m.p
-    sigma2_ml = q / (2.0 * n * (1.0 + rho))
-    sigma2_un = q / ((2.0 * n - p) * (1.0 + rho))
-    shrink = rho / (1.0 - rho)
-    mrho = _weighted(m, rho)[:p, :p]
-    cov = sigma2_un * (1.0 + rho) * np.linalg.inv(mrho) / n
-    # rho = 2 Q3/(Q1 + Q2) at an interior maximum; in rotated form that is
-    # (4U - V)/(4U + V) at the final beta.
-    fixed_point = (abs(rho - (4.0 * ave - diff) / (4.0 * ave + diff))
-                   if ave + diff > 0.0 else 0.0)
-
-    return FitResult(
-        beta=np.append(beta, np.zeros(4 - p)), rho=rho,
-        sigma_ml=math.sqrt(sigma2_ml), sigma_un=math.sqrt(sigma2_un),
-        kappa_ml=math.sqrt(sigma2_ml * shrink), kappa_un=math.sqrt(sigma2_un * shrink),
-        cov_beta=np.pad(cov, (0, 4 - p)), loglik=loglik, n=n, p=p,
-        condition_number=float(np.linalg.cond(mrho)),
-        fixed_point_residual=fixed_point)
+                row[k], k = rho, k + 1
+    try:
+        values = profile_loglik(MomentMatrices(m.A[:, None], m.D[:, None], m.n[:, None]), rhos)
+    except DegenerateDesignError:
+        for rho in rhos[0] if len(events) == 1 else ():     # the first singular one raises
+            profile_loglik(m, rho)
+        raise
+    best = np.arange(len(events)), np.argmax(values, axis=1)
+    beta, p, fits = gls_beta(m, rhos[best]), m.p, []
+    mrho = _weighted(m, rhos[best])[..., :p, :p]
+    covs = np.zeros((len(events), 4, 4))            # M_rho^{-1}, padded for the d = 0 fits
+    covs[:, :p, :p] = np.linalg.inv(mrho)
+    for b, rho, loglik, ave, diff, n, cov, cond in zip(
+            beta, rhos[best].tolist(), values[best].tolist(),
+            *(s.tolist() for s in _residual_sums(m, beta)), m.n.tolist(), covs,
+            np.linalg.cond(mrho).tolist()):
+        if not math.isfinite(loglik):
+            fits.append(FitError("profile likelihood is unbounded (degenerate responses)"))
+            continue
+        q = 2.0 * (1.0 - rho) * ave + 0.5 * (1.0 + rho) * diff
+        sigma2_ml, sigma2_un = q / (2.0 * n * (1.0 + rho)), q / ((2.0 * n - p) * (1.0 + rho))
+        shrink = rho / (1.0 - rho)
+        # rho = 2 Q3/(Q1 + Q2) at an interior maximum: (4U - V)/(4U + V) at the final beta.
+        fixed_point = (abs(rho - (4.0 * ave - diff) / (4.0 * ave + diff))
+                       if ave + diff > 0.0 else 0.0)
+        fits.append(FitResult(      # in FitResult's field order
+            np.append(b, np.zeros(4 - p)), rho, math.sqrt(sigma2_ml), math.sqrt(sigma2_un),
+            math.sqrt(sigma2_ml * shrink), math.sqrt(sigma2_un * shrink),
+            sigma2_un * (1.0 + rho) * cov / n, loglik, n, p, cond, fixed_point))
+    return fits

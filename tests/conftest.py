@@ -114,6 +114,22 @@ def design_rows(pairs):
             y1, y2)
 
 
+def profile_oracle(pairs, rhos, with_lane=True):
+    """The profile log-likelihood at each rho of ``rhos``, built from the day-wise
+    objective Q1 + Q2 - 2 rho Q3 = b'S b with S = Z1'Z1 + Z2'Z2 - rho (Z1'Z2 + Z2'Z1),
+    Z = [X | y] per day and b = (beta, -1), by one stacked solve over all rhos.  It
+    shares no code with the fitter's rotated moments, gls_beta or _residual_sums."""
+    X1, X2, y1, y2 = design_rows(pairs)
+    p = 4 if with_lane else 3
+    Z1, Z2 = np.column_stack([X1[:, :p], y1]), np.column_stack([X2[:, :p], y2])
+    rho = np.asarray(rhos, dtype=float)
+    S = Z1.T @ Z1 + Z2.T @ Z2 - rho[:, None, None] * (Z1.T @ Z2 + Z2.T @ Z1)
+    beta = np.linalg.solve(S[:, :p, :p], S[:, :p, p:])          # (G, p, p) systems
+    q = S[:, p, p] - (S[:, p:, :p] @ beta)[:, 0, 0]
+    n = len(pairs)
+    return n * (0.5 * np.log1p(-rho * rho) - np.log(q / (2.0 * n)) - 1.0)
+
+
 _REFERENCE_LANES = {lane.value: lane for lane in Lane}
 _REFERENCE_STATUSES = {status.value: status for status in RunStatus}
 

@@ -493,7 +493,7 @@ def test_parse_error_loads_no_numpy(tmp_path):
 def test_package_names_are_their_home_modules_objects():
     import lanefair
 
-    assert len(lanefair.__all__) == len(set(lanefair.__all__)) == 43
+    assert len(lanefair.__all__) == len(set(lanefair.__all__)) == 44
     for name in lanefair.__all__:
         obj = getattr(lanefair, name)
         assert obj is getattr(importlib.import_module(obj.__module__), name), name

@@ -13,7 +13,7 @@ from lanefair.dataset import (EventDataset, Lane, ParseError, Run, RunStatus,
                               SkaterPair, load_event, parse_event, parse_olympic,
                               usable_pairs)
 
-from conftest import DATA, reference_parse_event, serialize_event
+from conftest import DATA, pair_rows, reference_parse_event, serialize_event
 
 
 def test_round_trip_all_fixtures():
@@ -242,6 +242,42 @@ def test_statuses_without_times(events):
     assert "T.-S.Yen" not in usable_pairs(events[1986])[0].names
     boucher = next(s for s in events[1988].skaters if s.name == "G.Boucher")
     assert boucher.day1.status is RunStatus.DISQUALIFIED
+
+
+def _row_loop_usable_pairs(ds, lane_policy):
+    """The row-by-row loop that usable_pairs' column passes replaced, as the reference."""
+    rows, warnings = [], []
+    for name, lane1, x1, y1, status1, lane2, x2, y2, status2 in zip(
+            ds.names, *ds.day1, *ds.day2):
+        if not (status1 is status2 is RunStatus.OK and None not in (x1, y1, x2, y2)):
+            continue
+        if lane1 is lane2:
+            warnings.append(f"{name}: same starting lane on both days"
+                            + (" (kept, w from day 1)" if lane_policy == "warn_day1"
+                               else " (dropped)"))
+            if lane_policy == "strict":
+                continue
+        rows.append((name, x1 / 100.0, y1 / 100.0, x2 / 100.0, y2 / 100.0,
+                     0.5 if lane1 is Lane.OUTER_START else -0.5))
+    return rows, warnings
+
+
+@st.composite
+def unchecked_runs(draw):
+    """A run as a record may hold it without the parser's checks: an ok run may
+    lack a time, and a time may come with any status."""
+    status = draw(st.sampled_from([RunStatus.OK] * 5 + list(RunStatus)))
+    times = st.none() | st.integers(0, 2 * 10**6)
+    return Run(draw(st.sampled_from(Lane)), draw(times), draw(times), status)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(unchecked_runs(), unchecked_runs()), max_size=12),
+       st.sampled_from(["warn_day1", "strict"]))
+def test_usable_pairs_equal_the_row_loop(days, lane_policy):
+    ds = EventDataset("V", 1990, [SkaterPair(f"S{i}", *runs) for i, runs in enumerate(days)])
+    pairs, warnings = usable_pairs(ds, lane_policy)
+    assert (pair_rows(pairs), warnings) == _row_loop_usable_pairs(ds, lane_policy)
 
 
 # Canonical field text: no comma or line break, nothing for strip() to remove.

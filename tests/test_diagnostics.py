@@ -10,6 +10,7 @@ import pytest
 
 from conftest import DATA, make_pairs, pair_rows, serialize_event
 from lanefair import DEFAULT_THRESHOLD, diagnostics
+from lanefair.cli import main
 from lanefair.dataset import Lane, RunStatus, load_event, parse_event, usable_pairs
 from lanefair.diagnostics import (adjusted_differences, clean_and_refit,
                                   gaussian_kde_curve, outlier_scan,
@@ -473,14 +474,19 @@ def test_validate_model_evaluates_curves_only_when_read(pipeline, monkeypatch):
 
 
 @pytest.mark.parametrize("bandwidth", [0.0, -1.0, math.nan, math.inf])
-def test_validate_model_rejects_bandwidth_at_the_call(pipeline, bandwidth):
-    with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
-        validate_model(pipeline[1994].pairs_clean, pipeline[1994].fit, bandwidth)
+def test_validate_model_rejects_bandwidth_at_the_call(capsys, bandwidth):
+    """validate_model records Silverman's widths; a fixed --bandwidth replaces them and
+    is checked at the call, so a bad width exits 5 even when no curve is written."""
+    assert main(["validate", str(DATA / "swc1994.csv"), "--bandwidth", str(bandwidth)]) == 5
+    assert capsys.readouterr().err == (
+        f"lanefair: 1994 Calgary: bandwidth must be positive and finite, got {bandwidth}\n")
 
 
 @pytest.mark.parametrize("bandwidth", ["silverman", 0.4])
 def test_report_curves_equal_the_star_values_curves(pipeline, bandwidth):
-    rep = validate_model(pipeline[1994].pairs_clean, pipeline[1994].fit, bandwidth)
+    rep = validate_model(pipeline[1994].pairs_clean, pipeline[1994].fit)
+    if bandwidth != "silverman":
+        rep = rep._replace(bandwidth_diff=bandwidth, bandwidth_ave=bandwidth)
     for curve, values in ((rep.kde_diff, [r.diff_star for r in rep.records]),
                           (rep.kde_ave, [r.ave_star for r in rep.records])):
         direct = gaussian_kde_curve(values, _silverman(values) if bandwidth == "silverman"

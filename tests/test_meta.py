@@ -236,8 +236,9 @@ def test_split_half_ranks_ties_like_the_sort_key(monkeypatch):
     pairs = make_pairs((f"S{i}", 10.0, y1, 10.1, y2, 0.5 - i % 2) for i, (y1, y2) in
                        enumerate(times.tolist()))
     fitted = []
-    monkeypatch.setattr(model, "fit_ml", lambda ps: fitted.append(pair_rows(ps))
-                        or SimpleNamespace(d=0.0, se_d=1.0))
+    monkeypatch.setattr(model, "fit_many", lambda seq: [fitted.append(pair_rows(ps))
+                                                        or SimpleNamespace(d=0.0, se_d=1.0)
+                                                        for ps in seq])
     split_half([("ties", pairs)])
     assert fitted == [*_halves_by_sort_key(pairs)]
 

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lanefair.model import (RHO_MAX, DegenerateDesignError,
+from lanefair.model import (RHO_MAX, DegenerateDesignError, FitError,
                             InsufficientDataError, Pairs, build_moments,
-                            day_residuals, fit_ml, gls_beta, profile_loglik)
+                            day_residuals, fit_many, fit_ml, gls_beta, profile_loglik)
 from lanefair.simulate import simulate_event
 
-from conftest import design_rows, make_pairs, pair_rows
+from conftest import design_rows, make_pairs, pair_rows, profile_oracle
 
 # Reference per-event estimates (a1, a2, b, d, rho, sigma, kappa) and se(d)
 # from the original championship analyses; reproduced on the matching
@@ -191,11 +191,10 @@ def test_profile_rejects_rho_outside_range(reference_sets):
 
 
 def test_grid_oracle_agrees_with_search(reference_sets):
+    grid = np.arange(0.0, 1.0 - 1e-6, 1e-4)
     for year, pairs in reference_sets.items():
-        m = build_moments(pairs)
         fit = fit_ml(pairs)
-        grid = np.arange(0.0, 1.0 - 1e-6, 1e-4)
-        values = [profile_loglik(m, r) for r in grid]
+        values = profile_oracle(pairs, grid)
         assert abs(grid[int(np.argmax(values))] - fit.rho) <= 1e-4, year
 
 
@@ -225,16 +224,17 @@ def test_search_finds_stationary_point_or_boundary():
         pairs = simulate_event(rng, 30, kappa=0.0 if i % 2 else 0.30)
         for constraint, with_lane in (("free_d", True), ("d_equals_zero", False)):
             fit = fit_ml(pairs, constraint)
-            m = build_moments(pairs, with_lane)
             if fit.rho == 0.0:
                 boundary += 1
-                assert profile_loglik(m, 0.0) >= profile_loglik(m, 1e-3), i
+                at_zero, beyond = profile_oracle(pairs, [0.0, 1e-3], with_lane)
+                assert at_zero >= beyond, i
             else:
                 interior += 1
                 q1, q2, q3 = q_components(pairs, fit.beta)
                 assert abs(fit.rho - 2 * q3 / (q1 + q2)) <= 1e-9, i
-            best = max(profile_loglik(m, r) for r in grid)
-            assert profile_loglik(m, fit.rho) >= best - 1e-9, i
+            # Both sides from the oracle: it and profile_loglik differ by up to 1e-9.
+            best = profile_oracle(pairs, grid, with_lane).max()
+            assert profile_oracle(pairs, [fit.rho], with_lane)[0] >= best - 1e-9, i
     assert boundary and interior
 
 
@@ -252,7 +252,7 @@ def test_design_singular_at_every_rho_is_degenerate():
     # x = 0 throughout: the slope column is zero, so M_rho is singular for all rho.
     pairs = make_pairs(_pair(str(i), 0.0, 37.0 + 0.1 * i, 0.0, 37.2 - 0.05 * i,
                              (-1) ** i * 0.5) for i in range(8))
-    with pytest.raises(DegenerateDesignError):
+    with pytest.raises(DegenerateDesignError, match="^singular design at rho=0: Singular matrix$"):
         fit_ml(pairs)
     m = build_moments(pairs)
     for r in (0.0, 0.5, RHO_MAX):
@@ -416,3 +416,59 @@ def test_day_swap_with_the_signs_flipped_leaves_the_fit_unchanged(seed, n):
             assert getattr(other, attr) == pytest.approx(getattr(base, attr), rel=1e-10), attr
         moved = np.abs(other.beta[[1, 0, 2, 3]] - base.beta)
         assert np.all(moved <= 1e-10 * base.se), (constraint, moved / base.se)
+
+
+def _shift_out_d(pairs, d):
+    return Pairs(pairs.names, pairs.x1, pairs.y1 - d * pairs.w, pairs.x2, pairs.y2 + d * pairs.w,
+                 pairs.w)
+
+
+def test_d_equals_zero_refit_of_shifted_days_gives_the_free_loglik(pipeline):
+    """With d-hat w moved out of the responses, d = 0 is optimal at the fitted rho, so
+    the d = 0 fit of y1 - d-hat w and y2 + d-hat w reaches the free log-likelihood.
+    This checks d by a path that never estimates it."""
+    for year, cleaned in pipeline.items():
+        free = cleaned.fit
+        refit = fit_ml(_shift_out_d(cleaned.pairs_clean, free.d), "d_equals_zero")
+        assert abs(refit.loglik - free.loglik) <= 1e-10 * abs(free.loglik), year
+
+
+@PERMUTATION
+@given(st.integers(0, 2 ** 32 - 1), st.integers(6, 60), st.sampled_from([0.0, 0.30]))
+def test_d_refit_identity_holds_on_random_events(seed, n, kappa):
+    pairs = simulate_event(np.random.default_rng(seed), n, kappa=kappa)
+    free = fit_ml(pairs)
+    refit = fit_ml(_shift_out_d(pairs, free.d), "d_equals_zero")
+    assert abs(refit.loglik - free.loglik) <= 1e-10 * max(1.0, abs(free.loglik))
+
+
+@st.composite
+def _events(draw):
+    """A valid event, or one that cannot be fitted: fewer than 5 pairs, every
+    skater in one lane, or constant passing times."""
+    kind = draw(st.sampled_from(["valid", "small", "one lane", "constant x"]))
+    n = draw(st.integers(1, 4) if kind == "small" else st.integers(5, 40))
+    pairs = simulate_event(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), n,
+                           kappa=draw(st.sampled_from([0.0, 0.30])))
+    if kind == "one lane":
+        return Pairs(pairs.names, pairs.x1, pairs.y1, pairs.x2, pairs.y2, np.full(n, 0.5))
+    if kind == "constant x":
+        x = np.full(n, 10.0)
+        return Pairs(pairs.names, x, pairs.y1, x, pairs.y2, pairs.w)
+    return pairs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(_events(), min_size=1, max_size=8),
+       st.sampled_from(["free_d", "d_equals_zero"]))
+def test_each_fit_many_item_equals_its_own_fit(events, constraint):
+    """One stacked call gives every event the fit, or the error, that it gets alone."""
+    for pairs, got in zip(events, fit_many(events, constraint), strict=True):
+        try:
+            alone = fit_ml(pairs, constraint)
+        except FitError as exc:
+            assert (type(got), str(got)) == (type(exc), str(exc))
+            continue
+        assert not isinstance(got, FitError), got
+        for field, a, b in zip(got._fields, got, alone):
+            assert np.array_equal(a, b, equal_nan=True), field
