@@ -7,6 +7,7 @@ numpy."""
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from contextlib import contextmanager
@@ -190,6 +191,7 @@ def _common_pipeline(p: argparse.ArgumentParser) -> None:
                    help="handling of same-lane-both-days records")
 
 
+@functools.cache                # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lanefair",

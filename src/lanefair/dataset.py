@@ -70,23 +70,11 @@ class SkaterPair(NamedTuple):
 
 
 class EventDataset(namedtuple("EventDataset", "venue year names day1 day2 notes")):
-    """One championship: metadata plus the skaters as columns, in entry order.  Each
-    day is a (lane, t100_cs, t500_cs, status) tuple of columns; ``skaters`` builds records."""
+    """One championship as columns, in entry order.  Each day is a (lane, t100_cs,
+    t500_cs, status) tuple of columns.  ``parse_event`` checks what it builds; an event
+    built by hand is taken as given.  ``skaters`` builds row records on each read."""
 
     __slots__ = ()
-
-    def __new__(cls, venue: str, year: int, skaters: list[SkaterPair]):
-        cols = list(zip(*[(s.name, *s.day1, *s.day2, s.note) for s in skaters])) or [()] * 10
-        return cls._from_columns(venue, year, cols[0], cols[1:5], cols[5:9], cols[9])
-
-    @classmethod
-    def _from_columns(cls, venue: str, year: int, names, day1, day2, notes) -> EventDataset:
-        if dupes := sorted(n for n, k in Counter(names).items() if k > 1):
-            raise ParseError(f"duplicate skater names: {dupes}")
-        return cls._make((venue, year, names, tuple(day1), tuple(day2), notes))
-
-    def __getnewargs__(self):                   # copy and pickle rebuild through __new__
-        return self.venue, self.year, self.skaters
 
     @property
     def skaters(self) -> list[SkaterPair]:
@@ -220,8 +208,10 @@ def parse_event(text: str) -> EventDataset:
     if errors:
         row, _, message = min(errors)
         raise ParseError(message, [k for k, raw in enumerate(lines, 1) if raw.strip()][row + 1])
+    if dupes := sorted(n for n, k in Counter(names).items() if k > 1):
+        raise ParseError(f"duplicate skater names: {dupes}")
     notes = tuple(map(str.strip, cols[9])) if width == 10 else ("",) * len(names)
-    return EventDataset._from_columns(*header, names, *days, notes)
+    return EventDataset(*header, names, *days, notes)
 
 
 def parse_olympic(text: str) -> tuple[str, list[OlympicEntry]]:
@@ -274,7 +264,7 @@ def usable_pairs(ds: EventDataset, lane_policy: str = "warn_day1",
     if lane_policy not in ("strict", "warn_day1"):
         raise ValueError(f"unknown lane policy {lane_policy!r}")
     (lanes1, *times1, status1), (lanes2, *times2, status2) = ds.day1, ds.day2
-    # C-level column passes; None times too, as EventDataset(venue, year, skaters) skips checks.
+    # C-level column passes; None times too, as a hand-built EventDataset skips the checks.
     usable = list(map(all, zip(map(is_, status1, repeat(_OK)), map(is_, status2, repeat(_OK)),
                                *(map(is_not, t, repeat(None)) for t in (*times1, *times2)))))
     same = list(map(and_, usable, map(is_, lanes1, lanes2)))

@@ -7,7 +7,7 @@ magnitude rule is deliberate: a run can be anomalous in either direction
 (a skater whose finishing times are far better than his passing times
 predict is as suspect a data point as the reverse), and the historical
 removal rosters for the bundled championships require it.  Each report keeps per-skater
-values as read-only columns and builds its records when read.
+values as read-only columns beside the names, in the order of the pairs.
 """
 
 from __future__ import annotations
@@ -27,14 +27,6 @@ _FLAG_TAGS = [tuple(t for bit, t in enumerate(("T1", "T2", "T3")) if code >> bit
               for code in range(8)]
 
 
-class OutlierRecord(NamedTuple):
-    name: str
-    t1: float
-    t2: float
-    t3: float
-    flagged_by: tuple[str, ...]
-
-
 class OutlierReport(NamedTuple):
     names: tuple[str, ...]
     t1: np.ndarray
@@ -44,9 +36,9 @@ class OutlierReport(NamedTuple):
     threshold: float
 
     @property
-    def records(self) -> tuple[OutlierRecord, ...]:
-        return tuple(map(OutlierRecord, self.names, self.t1.tolist(), self.t2.tolist(),
-                         self.t3.tolist(), [_FLAG_TAGS[c] for c in self.codes.tolist()]))
+    def flagged_by(self) -> list[tuple[str, ...]]:
+        """Per skater, the tags of the statistics that flagged it, in T1, T2, T3 order."""
+        return [_FLAG_TAGS[c] for c in self.codes.tolist()]
 
     @property
     def flagged_names(self) -> list[str]:
@@ -133,12 +125,6 @@ def gaussian_kde_curve(values: Sequence[float], h: float) -> KdeCurve:
     return KdeCurve(grid, density, h)
 
 
-class ValidationRecord(NamedTuple):
-    name: str
-    ave_star: float
-    diff_star: float
-
-
 class ValidationReport(NamedTuple):
     """Standardized averages/differences, their normality summaries and lazy density curves."""
 
@@ -156,11 +142,6 @@ class ValidationReport(NamedTuple):
     bandwidth_diff: float       # Silverman's kernel widths; each kde_* read evaluates its curve
     bandwidth_ave: float
     n: int
-
-    @property
-    def records(self) -> tuple[ValidationRecord, ...]:
-        return tuple(map(ValidationRecord, self.names, self.ave_star.tolist(),
-                         self.diff_star.tolist()))
 
     @property
     def kde_diff(self) -> KdeCurve:
@@ -206,24 +187,12 @@ def validate_model(pairs: Pairs, fit: FitResult) -> ValidationReport:
         n=n)
 
 
-class AdjustedDiffRecord(NamedTuple):
-    name: str
-    w: float
-    D: float                    # seconds
-    D_star: float               # D / (sqrt(2) sigma_un), d=0 refit scale
-
-
 class AdjustedDiffs(NamedTuple):
     names: tuple[str, ...]
     w: np.ndarray
-    D: np.ndarray
-    D_star: np.ndarray
+    D: np.ndarray               # seconds
+    D_star: np.ndarray          # D / (sqrt(2) sigma_un), d=0 refit scale
     fit_zero_d: FitResult
-
-    @property
-    def records(self) -> tuple[AdjustedDiffRecord, ...]:
-        return tuple(map(AdjustedDiffRecord, self.names, self.w.tolist(), self.D.tolist(),
-                         self.D_star.tolist()))
 
 
 def adjusted_differences(pairs: Pairs) -> AdjustedDiffs:

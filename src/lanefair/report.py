@@ -23,6 +23,11 @@ def _g(x: float) -> float:
     return float(f"{x:.6g}")
 
 
+def _rows(names, *columns):
+    """(name, value, ...) per skater of a report's float64 columns, as Python floats."""
+    return zip(names, *(c.tolist() for c in columns))
+
+
 def _json(payload: dict) -> str:
     import json
 
@@ -32,7 +37,7 @@ def _json(payload: dict) -> str:
 def _fit_json(rows: FitRows) -> str:
     events = []
     for label, c, n_usable in rows:
-        f, se = c.fit, c.fit.se
+        f, se, r = c.fit, c.fit.se, c.report
         events.append({
             "label": label,
             "n_usable": n_usable,
@@ -46,12 +51,13 @@ def _fit_json(rows: FitRows) -> str:
                 "warnings": list(c.warnings),
             },
             "outliers": {
-                "threshold": c.report.threshold,
+                "threshold": r.threshold,
                 "removed": list(c.removed),
                 "statistics": [
-                    {"name": r.name, "t1": _g(r.t1), "t2": _g(r.t2), "t3": _g(r.t3),
-                     "flagged_by": list(r.flagged_by)}
-                    for r in c.report.records],
+                    {"name": name, "t1": _g(t1), "t2": _g(t2), "t3": _g(t3),
+                     "flagged_by": list(tags)}
+                    for (name, t1, t2, t3), tags in zip(_rows(r.names, r.t1, r.t2, r.t3),
+                                                        r.flagged_by)],
             },
         })
     return _json({"events": events})
@@ -129,8 +135,8 @@ def _validate_json(label: str, rep: ValidationReport) -> str:
     return _json({
         "label": label,
         "n": rep.n,
-        "skaters": [{"name": r.name, "ave_star": _g(r.ave_star),
-                     "diff_star": _g(r.diff_star)} for r in rep.records],
+        "skaters": [{"name": name, "ave_star": _g(ave), "diff_star": _g(diff)}
+                    for name, ave, diff in _rows(rep.names, rep.ave_star, rep.diff_star)],
         "moments": {
             "skew_diff": _g(rep.skew_diff), "skew_ave": _g(rep.skew_ave),
             "kurt_diff": _g(rep.kurt_diff), "kurt_ave": _g(rep.kurt_ave),
@@ -143,7 +149,8 @@ def _validate_json(label: str, rep: ValidationReport) -> str:
 
 def _validate_csv(label: str, rep: ValidationReport) -> str:
     lines = ["name,ave_star,diff_star"]
-    lines += [f"{r.name},{r.ave_star:.4f},{r.diff_star:.4f}" for r in rep.records]
+    lines += [f"{name},{ave:.4f},{diff:.4f}"
+              for name, ave, diff in _rows(rep.names, rep.ave_star, rep.diff_star)]
     return "\n".join(lines) + "\n"
 
 
@@ -165,7 +172,8 @@ def _kde_csv(curve) -> str:
 
 def _adjusted_csv(label: str, ad: AdjustedDiffs) -> str:
     lines = ["name,w,D,D_star"]
-    lines += [f"{r.name},{r.w:+.1f},{r.D:.4f},{r.D_star:.4f}" for r in ad.records]
+    lines += [f"{name},{w:+.1f},{D:.4f},{star:.4f}"
+              for name, w, D, star in _rows(ad.names, ad.w, ad.D, ad.D_star)]
     return "\n".join(lines) + "\n"
 
 
@@ -173,8 +181,8 @@ def _adjusted_json(label: str, ad: AdjustedDiffs) -> str:
     return _json({
         "label": label,
         "sigma_un": _g(ad.fit_zero_d.sigma_un),
-        "skaters": [{"name": r.name, "w": r.w, "D": _g(r.D), "D_star": _g(r.D_star)}
-                    for r in ad.records],
+        "skaters": [{"name": name, "w": w, "D": _g(D), "D_star": _g(star)}
+                    for name, w, D, star in _rows(ad.names, ad.w, ad.D, ad.D_star)],
     })
 
 

@@ -14,10 +14,10 @@ import numpy as np
 from .model import Pairs, fit_ml
 
 _X_MEAN, _X_SD = 10.1, 0.2      # 100 m passing times, seconds
+_A1, _A2, _B = 17.0, 17.0, 2.0  # day intercepts and passing-time slope
 
 
-def simulate_event(rng: np.random.Generator, n: int, a1: float = 17.0,
-                   a2: float = 17.0, b: float = 2.0, d: float = 0.05,
+def simulate_event(rng: np.random.Generator, n: int, d: float = 0.05,
                    sigma: float = 0.25, kappa: float = 0.30) -> Pairs:
     """Draw one event: normal passing times, balanced shuffled lane draw,
     shared per-skater ability effect, independent per-run noise."""
@@ -25,8 +25,8 @@ def simulate_event(rng: np.random.Generator, n: int, a1: float = 17.0,
     x2 = rng.normal(_X_MEAN, _X_SD, n)
     w = np.where(rng.permutation(n) < n // 2, 0.5, -0.5)
     c = rng.normal(0.0, kappa, n)
-    y1 = a1 + b * x1 + c + d * w + rng.normal(0.0, sigma, n)
-    y2 = a2 + b * x2 + c - d * w + rng.normal(0.0, sigma, n)
+    y1 = _A1 + _B * x1 + c + d * w + rng.normal(0.0, sigma, n)
+    y2 = _A2 + _B * x2 + c - d * w + rng.normal(0.0, sigma, n)
     return Pairs(map("s{:04d}".format, range(n)), x1, y1, x2, y2, w)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,13 @@ def pair_rows(pairs):
     """The (name, x1, y1, x2, y2, w) rows of Pairs, as Python floats."""
     return list(zip(pairs.names, pairs.x1.tolist(), pairs.y1.tolist(), pairs.x2.tolist(),
                     pairs.y2.tolist(), pairs.w.tolist()))
+
+
+def event_from_skaters(venue, year, skaters):
+    """An EventDataset of SkaterPair rows, through the column constructor; like any
+    event built by hand, it is not checked."""
+    cols = list(zip(*[(s.name, *s.day1, *s.day2, s.note) for s in skaters])) or [()] * 10
+    return EventDataset(venue, year, cols[0], tuple(cols[1:5]), tuple(cols[5:9]), cols[9])
 
 
 def serialize_event(ds):
@@ -201,4 +209,6 @@ def reference_parse_event(text):
                 raise ParseError(f"status {status.value!r} cannot carry a 500 m time", lineno)
             runs.append(Run(lane, t100, t500, status))
         skaters.append(SkaterPair(name, *runs, fields[9].strip() if n == 10 else ""))
-    return EventDataset(venue, year, skaters)
+    if dupes := sorted(n for n, k in Counter(s.name for s in skaters).items() if k > 1):
+        raise ParseError(f"duplicate skater names: {dupes}")
+    return event_from_skaters(venue, year, skaters)

@@ -68,7 +68,9 @@ def _check_roster(failures, year, cleaned):
            f"{year}: roster {sorted(cleaned.removed)} != {sorted(expected)}")
     rescan = outlier_scan(cleaned.pairs_clean, cleaned.fit, cleaned.report.threshold)
     for tag, report in (("first scan", cleaned.report), ("refit scan", rescan)):
-        peaks = {r.name: max(abs(r.t1), abs(r.t2), abs(r.t3)) for r in report.records}
+        peaks = {name: max(abs(t1), abs(t2), abs(t3)) for name, t1, t2, t3
+                 in zip(report.names, report.t1.tolist(), report.t2.tolist(),
+                        report.t3.tolist())}
         for name in sorted(unscreenable):
             peak = peaks.get(name, float("inf"))
             _check(failures, peak < report.threshold,
@@ -213,8 +215,8 @@ def test_criterion_07_validation_statistics(pipeline, reference_sets):
     pooled = Counter()
     for year in YEARS:
         ad = adjusted_differences(reference_sets[year])
-        counts[year] = len(ad.records)
-        pooled.update(r.w for r in ad.records)
+        counts[year] = len(ad.names)
+        pooled.update(ad.w.tolist())
     _check(failures, pooled[0.5] == 159 and pooled[-0.5] == 159,
            f"pooled groups {pooled[0.5]}/{pooled[-0.5]} != 159/159")
     _check(failures, counts == FIG3_COUNTS,

@@ -54,9 +54,9 @@ def test_zero_residuals_give_zero_statistics():
         pairs.append((str(i), x1, 17.0 + 2.0 * x1 + 0.04 * w,
                       x2, 17.2 + 2.0 * x2 - 0.04 * w, w))
     report = outlier_scan(make_pairs(pairs), fit)
-    for rec in report.records:
-        assert (rec.t1, rec.t2, rec.t3) == (0.0, 0.0, 0.0)
-        assert rec.flagged_by == ()
+    for column in (report.t1, report.t2, report.t3):
+        assert column.tolist() == [0.0] * 6
+    assert report.flagged_by == [()] * 6
     assert report.flagged_names == []
 
 
@@ -79,59 +79,35 @@ def test_every_flag_combination_is_tagged_in_order():
         pairs.append((f"{t1},{t2}", x1, 17.0 + 2.0 * x1 + 0.04 * w + t1 * scale,
                       x2, 17.2 + 2.0 * x2 - 0.04 * w + t2 * scale, w))
     report = outlier_scan(make_pairs(pairs), fit)
-    assert [r.flagged_by for r in report.records] == list(FLAG_CASES.values())
+    assert report.flagged_by == list(FLAG_CASES.values())
     assert report.flagged_names == [p[0] for p in pairs][1:]
 
 
-def test_records_cannot_be_assigned(pipeline):
-    cleaned = pipeline[1994]
-    reports = (cleaned.report, validate_model(cleaned.pairs_clean, cleaned.fit),
-               adjusted_differences(cleaned.pairs_clean))
-    for report, n_columns in zip(reports, (4, 2, 3)):
-        record = report.records[0]
-        for name in record._fields:
+def _reports(cleaned):
+    return (cleaned.report, validate_model(cleaned.pairs_clean, cleaned.fit),
+            adjusted_differences(cleaned.pairs_clean))
+
+
+def test_records_cannot_be_assigned(usable, pipeline):
+    """No report field can be assigned and every column is read-only.  Holding
+    arrays, two equal reports neither compare with == nor hash; their columns
+    compare with np.array_equal."""
+    pairs, warns = usable[1994]
+    twins = _reports(clean_and_refit(pairs, warnings=warns))
+    for report, twin, n_columns in zip(_reports(pipeline[1994]), twins, (4, 2, 3)):
+        for name in report._fields:
             with pytest.raises(AttributeError):
-                setattr(record, name, getattr(record, name))
+                setattr(report, name, getattr(report, name))
         columns = [v for v in report if isinstance(v, np.ndarray)]
         assert len(columns) == n_columns
-        for column in columns:
+        for column, same in zip(columns, [v for v in twin if isinstance(v, np.ndarray)]):
+            assert np.array_equal(column, same)
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = column[0]
-
-
-def test_records_are_built_only_when_read(usable, monkeypatch):
-    built = {}
-    for name in ("OutlierRecord", "ValidationRecord", "AdjustedDiffRecord"):
-        def counting(*fields, record=getattr(diagnostics, name), name=name):
-            built[name] = built.get(name, 0) + 1
-            return record(*fields)
-        monkeypatch.setattr(diagnostics, name, counting)
-    pairs, warns = usable[1994]
-    cleaned = clean_and_refit(pairs, warnings=warns)
-    kept = cleaned.pairs_clean
-    rep = validate_model(kept, cleaned.fit)
-    adjusted = adjusted_differences(kept)
-    assert cleaned.removed and rep.kde_diff and rep.kde_ave
-    assert built == {}
-    assert len(cleaned.report.records) - 2 == len(rep.records) == 28
-    assert built == {"OutlierRecord": len(pairs), "ValidationRecord": len(kept)}
-    assert len(adjusted.records) == built["AdjustedDiffRecord"] == 28
-
-
-def test_reports_with_columns_compare_by_records(usable):
-    """Reports holding arrays are neither comparable with == nor hashable;
-    their records are both."""
-    pairs, warns = usable[1994]
-    a, b = (clean_and_refit(pairs, warnings=warns) for _ in range(2))
-    reports = ((a.report, b.report), (validate_model(a.pairs_clean, a.fit),
-                                      validate_model(b.pairs_clean, b.fit)))
-    for one, other in reports:
-        assert one.records == other.records
-        assert hash(one.records) == hash(other.records)
         with pytest.raises(ValueError, match="ambiguous"):
-            one == other
+            report == twin
         with pytest.raises(TypeError, match="unhashable"):
-            hash(one)
+            hash(report)
 
 
 def _large_field_text(n=2500, seed=5):
@@ -211,13 +187,18 @@ def _reference_adjusted(pairs):
     return list(zip(pairs.names, pairs.w.tolist(), D.tolist(), star.tolist()))
 
 
+def _rows(names, *columns):
+    """Per-skater rows of a report's names and columns, as Python values."""
+    return list(zip(names, *(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+
+
 def _fit_fields(fit):
     return [v.tolist() if isinstance(v, np.ndarray) else v for v in fit]
 
 
 def _check_against_the_row_by_row_reference(ds):
     """The columns of usable_pairs equal the row-by-row arithmetic of the
-    reference, and every fit, flag, removal, kept set and record of the
+    reference, and every fit, flag, removal, kept set and report column of the
     pipeline equals the one built from the reference rows, bit for bit."""
     pairs, warnings = usable_pairs(ds)
     rows, reference_warnings = _reference_usable_pairs(ds)
@@ -229,15 +210,18 @@ def _check_against_the_row_by_row_reference(ds):
     removed = tuple(name for name, *_, tags in flags if tags)
     kept = make_pairs(row for row in rows if row[0] not in removed)
     assert _fit_fields(cleaned.first_fit) == _fit_fields(first)
-    assert [tuple(r) for r in cleaned.report.records] == flags
+    report = cleaned.report
+    assert _rows(report.names, report.t1, report.t2, report.t3, report.flagged_by) == flags
     assert cleaned.removed == removed
     assert pair_rows(cleaned.pairs_clean) == pair_rows(kept)
     assert _fit_fields(cleaned.fit) == _fit_fields(fit_ml(kept))
 
-    assert [tuple(r) for r in validate_model(kept, cleaned.fit).records] == (
+    rep = validate_model(kept, cleaned.fit)
+    assert _rows(rep.names, rep.ave_star, rep.diff_star) == (
         _reference_validation(kept, cleaned.fit))
     adjusted = adjusted_differences(kept)
-    assert [tuple(r) for r in adjusted.records] == _reference_adjusted(kept)
+    assert _rows(adjusted.names, adjusted.w, adjusted.D, adjusted.D_star) == (
+        _reference_adjusted(kept))
     assert _fit_fields(adjusted.fit_zero_d) == _fit_fields(
         fit_ml(make_pairs(pair_rows(kept)), constraint="d_equals_zero"))
     return pairs, warnings, removed
@@ -258,26 +242,29 @@ def test_swc_events_match_the_row_by_row_reference(events):
 
 @pytest.mark.parametrize("source", ["swc", "large field"])
 def test_records_and_curves_built_on_read_match_the_eager_build(usable, source):
-    """Records, flagged names and curves equal those built eagerly from the
-    names and the tolist() of independently recomputed residual statistics."""
+    """The rows of each report's columns, the flagged names and the curves built
+    on read equal those built eagerly from the names and the tolist() of
+    independently recomputed residual statistics."""
     events = (usable.values() if source == "swc"
               else [usable_pairs(parse_event(_large_field_text()))])
     for pairs, warnings in events:
         cleaned = clean_and_refit(pairs, warnings=warnings)
         flags = _reference_flags(pairs, fit_ml(pairs))
-        assert [tuple(r) for r in cleaned.report.records] == flags
-        assert cleaned.report.flagged_names == [name for name, *_, tags in flags if tags]
+        report = cleaned.report
+        assert _rows(report.names, report.t1, report.t2, report.t3, report.flagged_by) == flags
+        assert report.flagged_names == [name for name, *_, tags in flags if tags]
         kept = cleaned.pairs_clean
         rep = validate_model(kept, cleaned.fit)
         eager = _reference_validation(kept, cleaned.fit)
-        assert [tuple(r) for r in rep.records] == eager
+        assert _rows(rep.names, rep.ave_star, rep.diff_star) == eager
         _, ave, diff = zip(*eager)
         for curve, values in ((rep.kde_ave, ave), (rep.kde_diff, diff)):
             direct = gaussian_kde_curve(list(values), _silverman(values))
             assert curve.bandwidth == direct.bandwidth
             assert np.array_equal(curve.grid, direct.grid)
             assert np.array_equal(curve.density, direct.density)
-        assert [tuple(r) for r in adjusted_differences(kept).records] == (
+        adjusted = adjusted_differences(kept)
+        assert _rows(adjusted.names, adjusted.w, adjusted.D, adjusted.D_star) == (
             _reference_adjusted(kept))
 
 
@@ -288,11 +275,12 @@ def test_screening_rosters_per_event(pipeline):
 
 
 def test_extreme_statistics_drive_the_flags(pipeline):
-    records = {r.name: r for r in pipeline[1994].report.records}
-    assert records["P.Tahmindjis"].t1 > 5.0
-    assert abs(records["P.Tahmindjis"].t3) > 4.0
-    assert records["T.Hamamichi"].t1 < -2.75
-    assert "T1" in records["T.Hamamichi"].flagged_by
+    report = pipeline[1994].report
+    tahmindjis, hamamichi = map(report.names.index, ("P.Tahmindjis", "T.Hamamichi"))
+    assert report.t1[tahmindjis] > 5.0
+    assert abs(report.t3[tahmindjis]) > 4.0
+    assert report.t1[hamamichi] < -2.75
+    assert "T1" in report.flagged_by[hamamichi]
 
 
 def test_no_flags_refit_is_first_fit(pipeline):
@@ -329,8 +317,8 @@ def null_flag_rates(events: int = 200, n: int = 250, seed: int = 11,
     for _ in range(events):
         pairs = simulate_event(rng, n, d=0.0, sigma=sigma, kappa=kappa)
         report = outlier_scan(pairs, fit_ml(pairs), threshold)
-        for rec in report.records:
-            for tag in rec.flagged_by:
+        for tags in report.flagged_by:
+            for tag in tags:
                 counts[tag] += 1
         total += n
     return {k: v / total for k, v in counts.items()} | {"runs": float(total)}
@@ -366,8 +354,7 @@ def test_validation_statistics_calgary(pipeline):
 def test_standardized_sets_centered_and_scaled(pipeline):
     for year, cleaned in pipeline.items():
         rep = validate_model(cleaned.pairs_clean, cleaned.fit)
-        ave = np.array([r.ave_star for r in rep.records])
-        diff = np.array([r.diff_star for r in rep.records])
+        ave, diff = rep.ave_star, rep.diff_star
         assert abs(ave.mean()) <= 1e-6, year
         assert abs(diff.mean()) <= 1e-6, year
         assert abs(ave.var() - 1.0) <= 0.15, year
@@ -487,8 +474,8 @@ def test_report_curves_equal_the_star_values_curves(pipeline, bandwidth):
     rep = validate_model(pipeline[1994].pairs_clean, pipeline[1994].fit)
     if bandwidth != "silverman":
         rep = rep._replace(bandwidth_diff=bandwidth, bandwidth_ave=bandwidth)
-    for curve, values in ((rep.kde_diff, [r.diff_star for r in rep.records]),
-                          (rep.kde_ave, [r.ave_star for r in rep.records])):
+    for curve, values in ((rep.kde_diff, rep.diff_star.tolist()),
+                          (rep.kde_ave, rep.ave_star.tolist())):
         direct = gaussian_kde_curve(values, _silverman(values) if bandwidth == "silverman"
                                     else bandwidth)
         assert curve.bandwidth == direct.bandwidth
@@ -501,9 +488,9 @@ def test_adjusted_differences_counts(pipeline):
     pooled = {0.5: 0, -0.5: 0}
     for year, cleaned in pipeline.items():
         ad = adjusted_differences(cleaned.pairs_clean)
-        per_event[year] = len(ad.records)
-        for r in ad.records:
-            pooled[r.w] += 1
+        per_event[year] = len(ad.names)
+        for w in ad.w.tolist():
+            pooled[w] += 1
     assert per_event == CLEAN_COUNTS
     assert pooled == {0.5: 160, -0.5: 159}
 
@@ -513,8 +500,8 @@ def test_adjusted_differences_use_zero_d_refit(pipeline):
     assert ad.fit_zero_d.d == 0.0
     assert ad.fit_zero_d.p == 3
     scale = np.sqrt(2) * ad.fit_zero_d.sigma_un
-    for r in ad.records:
-        assert r.D_star == pytest.approx(r.D / scale, rel=1e-12)
+    for D, star in zip(ad.D.tolist(), ad.D_star.tolist()):
+        assert star == pytest.approx(D / scale, rel=1e-12)
 
 
 def test_identical_days_zero_adjusted_differences():
@@ -524,8 +511,8 @@ def test_identical_days_zero_adjusted_differences():
         y = 17.0 + 2.0 * x + 0.07 * (i % 3)
         pairs.append((str(i), x, y, x, y, 0.5 if i % 2 else -0.5))
     ad = adjusted_differences(make_pairs(pairs))
-    for r in ad.records:
-        assert abs(r.D) <= 1e-9
+    for D in ad.D.tolist():
+        assert abs(D) <= 1e-9
 
 
 def test_group_means_track_minus_two_d():
@@ -533,8 +520,8 @@ def test_group_means_track_minus_two_d():
     d = 0.08
     pairs = simulate_event(rng, 400, d=d, sigma=0.2, kappa=0.3)
     ad = adjusted_differences(pairs)
-    plus = np.mean([r.D for r in ad.records if r.w > 0])
-    minus = np.mean([r.D for r in ad.records if r.w < 0])
+    plus = np.mean(ad.D[ad.w > 0])
+    minus = np.mean(ad.D[ad.w < 0])
     # each group mean has sd ~ sigma*sqrt(2)/sqrt(n/2); allow 4 sigma on the contrast
     tol = 4 * 0.2 * 2 / np.sqrt(200)
     assert abs((plus - minus) - (-2 * d)) <= tol

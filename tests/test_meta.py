@@ -202,7 +202,7 @@ def test_split_half_reference_value(pipeline):
 
 def test_split_half_identical_halves_gives_zero_contrast():
     rng = np.random.default_rng(13)
-    fast = simulate_event(rng, 12, a1=16.0, a2=16.0)
+    fast = simulate_event(rng, 12)
     slow = [(name + "s", x1, y1 + 10.0, x2, y2 + 10.0, w)
             for name, x1, y1, x2, y2, w in pair_rows(fast)]
     contrast = split_half([("dup", make_pairs(pair_rows(fast) + slow))])
@@ -213,9 +213,9 @@ def test_split_half_recovers_injected_contrast():
     rng = np.random.default_rng(37)
     events = []
     for k in range(8):
-        best = simulate_event(rng, 15, a1=15.0, a2=15.0, d=0.0)
+        best = simulate_event(rng, 15, d=0.0)
         rest = [(name + "r", x1, y1 + 3.0, x2, y2 + 3.0, w) for name, x1, y1, x2, y2, w
-                in pair_rows(simulate_event(rng, 15, a1=15.0, a2=15.0, d=0.1))]
+                in pair_rows(simulate_event(rng, 15, d=0.1))]
         events.append((str(k), make_pairs(pair_rows(best) + rest)))
     contrast = split_half(events)
     assert abs(contrast.combined_delta - (-0.1)) <= 3.0 * contrast.combined_se

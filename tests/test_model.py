@@ -105,8 +105,7 @@ def test_gls_at_rho_zero_is_stacked_ols(reference_sets):
 
 def test_gls_recovers_truth_on_synthetic():
     rng = np.random.default_rng(42)
-    pairs = simulate_event(rng, 200, a1=17.0, a2=17.0, b=2.0, d=0.05,
-                           sigma=0.15, kappa=0.35)
+    pairs = simulate_event(rng, 200, d=0.05, sigma=0.15, kappa=0.35)
     rho_true = 0.35 ** 2 / (0.15 ** 2 + 0.35 ** 2)
     fit = fit_ml(pairs)
     beta_rho = gls_beta(build_moments(pairs), rho_true)

@@ -12,7 +12,7 @@ TESTS = REPO / "tests"
 BENCHMARKS = REPO / "benchmarks"
 
 # Paper analyses that README documents but no command reaches yet; ROADMAP
-# direction 6 gives them routes (meta --heterogeneity and --correlate).
+# direction 7 gives them routes (meta --heterogeneity and --correlate).
 UNROUTED = {"predict_range", "cross_group_correlation"}
 
 
